@@ -7,12 +7,10 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
-	"net/http/pprof"
 	"time"
 
-	"hoiho/internal/buildinfo"
+	"hoiho/internal/daemon"
 	"hoiho/internal/dnsserve"
 	"hoiho/internal/promexp"
 	"hoiho/internal/qlog"
@@ -21,46 +19,24 @@ import (
 // admin serves /metrics/prom, /healthz, and /debug/pprof/ for a
 // running dnsserve.Server.
 type admin struct {
-	s     *dnsserve.Server
-	qlog  *qlog.Logger
-	start time.Time
-	prom  *promexp.Registry
-	mux   *http.ServeMux
+	s   *dnsserve.Server
+	mux *http.ServeMux
 }
 
 // newAdmin wires the admin surface. ql may be nil (query log off).
 func newAdmin(s *dnsserve.Server, ql *qlog.Logger) *admin {
-	a := &admin{s: s, qlog: ql, start: time.Now(), mux: http.NewServeMux()}
-	a.prom = promexp.NewRegistry()
-	a.prom.Register(a.promQueries, a.promLimiter, a.promEDNS, a.promIndex,
-		a.promReload, a.promQlog)
-	a.mux.HandleFunc("GET /metrics/prom", a.prom.ServeHTTP)
-	a.mux.HandleFunc("GET /healthz", a.handleHealthz)
-	a.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	a.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	a.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	a.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	a.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	a := &admin{s: s, mux: http.NewServeMux()}
+	prom := promexp.NewRegistry()
+	prom.Register(a.promQueries, a.promLimiter, a.promEDNS,
+		daemon.IndexMetrics("geodns", s.Live()), daemon.ReloadMetrics("geodns", s.Live()),
+		daemon.QlogMetrics("geodns", ql))
+	a.mux.HandleFunc("GET /metrics/prom", prom.ServeHTTP)
+	a.mux.HandleFunc("GET /healthz", daemon.Healthz(s.Live(), time.Now()))
+	daemon.RegisterPprof(a.mux)
 	return a
 }
 
 func (a *admin) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
-
-func (a *admin) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	info := buildinfo.Read()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	//lint:ignore droppederr a 200 header is already on the wire; an Encode failure means the client hung up
-	enc.Encode(map[string]any{
-		"status":     "ok",
-		"suffixes":   a.s.Suffixes(),
-		"generation": a.s.Generation(),
-		"uptime_s":   int64(time.Since(a.start).Seconds()),
-		"commit":     info.Commit,
-		"go_version": info.GoVersion,
-	})
-}
 
 // promQueries renders the per-query counter taxonomy: total queries,
 // per-outcome response counts (the same names the query log and the
@@ -95,58 +71,4 @@ func (a *admin) promEDNS(pw *promexp.Writer) {
 	pw.Histogram("geodns_edns_udp_size_bytes",
 		"Negotiated UDP response size limit per query (EDNS).",
 		bounds, counts, float64(sum))
-}
-
-// promIndex renders the live index's lookup counters, mirroring
-// geoserve's families under the geodns prefix.
-func (a *admin) promIndex(pw *promexp.Writer) {
-	st := a.s.IndexStats()
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"geodns_index_lookups_total", "Hostname lookups against the index.", st.Lookups},
-		{"geodns_index_cache_hits_total", "Lookups answered from the LRU cache.", st.CacheHits},
-		{"geodns_index_cache_misses_total", "Lookups that missed the LRU cache.", st.CacheMisses},
-		{"geodns_index_matched_total", "Lookups that matched a convention.", st.Matched},
-		{"geodns_index_unmatched_total", "Lookups no convention matched.", st.Unmatched},
-	} {
-		pw.Counter(c.name, c.help, float64(c.v))
-	}
-	pw.Family("geodns_index_suffix_matches_total", "Matches per convention suffix.", "counter")
-	for _, k := range promexp.SortedKeys(st.BySuffix) {
-		pw.Sample("geodns_index_suffix_matches_total", promexp.Labels("suffix", k), float64(st.BySuffix[k]))
-	}
-	pw.Family("geodns_index_class_matches_total", "Matches per convention classification.", "counter")
-	for _, k := range promexp.SortedKeys(st.ByClass) {
-		pw.Sample("geodns_index_class_matches_total", promexp.Labels("class", k), float64(st.ByClass[k]))
-	}
-}
-
-// promReload renders the hot-reload lifecycle: serving generation,
-// outcome counters, and the latest build/swap latencies.
-func (a *admin) promReload(pw *promexp.Writer) {
-	rs := a.s.ReloadStats()
-	pw.Gauge("geodns_index_generation", "Serving index generation (1 = boot index, +1 per swap).",
-		float64(rs.Generation))
-	pw.Counter("geodns_reloads_total", "Successful index reloads (SIGHUP).",
-		float64(rs.Reloads))
-	pw.Counter("geodns_reload_failures_total", "Reload attempts rejected before the swap.",
-		float64(rs.Failures))
-	pw.Gauge("geodns_reload_build_seconds", "Replacement-index build time of the last successful reload.",
-		float64(rs.LastBuildUS)/1e6)
-	pw.Gauge("geodns_reload_swap_seconds", "Validate+swap time of the last successful reload.",
-		float64(rs.LastSwapUS)/1e6)
-}
-
-// promQlog renders the query-log counters; absent families read
-// unambiguously as "off".
-func (a *admin) promQlog(pw *promexp.Writer) {
-	if !a.qlog.Enabled() {
-		return
-	}
-	st := a.qlog.Stats()
-	pw.Counter("geodns_qlog_records_total", "Query-log records written.", float64(st.Logged))
-	pw.Counter("geodns_qlog_sampled_out_total", "Queries skipped by the sampling rate.", float64(st.Skipped))
-	pw.Counter("geodns_qlog_rotations_total", "Query-log file rotations.", float64(st.Rotations))
 }

@@ -30,9 +30,10 @@
 // answer cannot fit, at which point resolvers retry over TCP.
 //
 // SIGHUP triggers the same validated zero-downtime reload as
-// geoserve: re-resolve the boot source, spot-check the replacement
-// index, swap the pointer. SIGINT/SIGTERM drain open TCP connections
-// and exit cleanly, logging the lifetime query counters.
+// geoserve, geoloc.Live.Reload on the server's Live index: re-resolve
+// the boot source, spot-check the replacement index, swap the pointer.
+// SIGINT/SIGTERM drain open TCP connections and exit cleanly, logging
+// the lifetime query counters.
 //
 // With -admin-addr, a plain-HTTP sidecar listener serves the
 // operational plane that does not belong on the DNS port:
@@ -41,8 +42,9 @@
 //	                    counters, limiter refusals and evictions, the
 //	                    negotiated EDNS response-size histogram, index
 //	                    lookup counters, reload build/swap timings, and
-//	                    query-log counters, all rendered through the
-//	                    same internal/promexp registry geoserve uses
+//	                    query-log counters; the index, reload and
+//	                    query-log families are the internal/daemon
+//	                    collectors geoserve renders too
 //	GET /healthz        liveness, suffix count, serving generation,
 //	                    build commit and go version
 //	GET /debug/pprof/   net/http/pprof profiling
@@ -50,112 +52,80 @@
 // With -qlog <path>, every handled query appends a sampled JSONL
 // record (timestamp, request id, qtype, hostname, source, rcode,
 // outcome, duration, serving generation) to a size-rotated access
-// log; -qlog-sample keeps 1 in N. -version prints build info.
+// log; -qlog-sample keeps 1 in N. -version prints build info. The
+// shared flags, boot, query log, SIGHUP loop, admin drain, /healthz and
+// pprof come from internal/daemon.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
-	"hoiho/internal/buildinfo"
+	"hoiho/internal/daemon"
 	"hoiho/internal/dnsserve"
-	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
-	"hoiho/internal/qlog"
 )
 
 func main() {
+	d := daemon.New("geodns", flag.CommandLine)
 	addr := flag.String("addr", "127.0.0.1:5353", "listen address (UDP and TCP)")
-	src := &geoloc.Source{}
-	src.RegisterFlags(flag.CommandLine)
 	ttl := flag.Uint("ttl", 300, "TTL stamped on answer records (seconds)")
 	udpSize := flag.Uint("udp-size", 1232, "largest UDP payload to send (EDNS)")
 	rate := flag.Float64("rate", 0, "per-source queries per second (0 disables rate limiting)")
 	burst := flag.Float64("burst", 0, "per-source burst headroom (defaults to 2x rate)")
-	cacheSize := flag.Int("cache", geoloc.DefaultCacheSize,
-		"LRU result-cache entries (negative disables)")
-	usableOnly := flag.Bool("usable-only", false, "serve only good/promising conventions")
 	adminAddr := flag.String("admin-addr", "",
 		"HTTP admin listener for /metrics/prom, /healthz, /debug/pprof/ (empty disables)")
-	qlogPath := flag.String("qlog", "", "write a sampled JSONL query log to this file (empty disables)")
-	qlogSample := flag.Int("qlog-sample", 1, "keep 1 in N query-log records")
-	qlogMaxBytes := flag.Int64("qlog-max-bytes", 64<<20,
-		"rotate the query log to <path>.1 before exceeding this size (0 disables rotation)")
-	version := flag.Bool("version", false, "print build info and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "geodns")
-		return
-	}
-	if _, err := src.Kind(); err != nil {
-		fmt.Fprintln(os.Stderr, "geodns:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+	d.Parse(os.Args[1:])
 	if *burst == 0 {
 		*burst = 2 * *rate
 	}
 
 	tracer := obs.New(obs.Options{})
-	opts := geoloc.Options{UsableOnly: *usableOnly, CacheSize: *cacheSize, Tracer: tracer}
-	resolved, err := src.Resolve(opts)
+	ix, opts, err := d.Boot(tracer)
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
-	log.Printf("geodns: serving %d conventions from %s", resolved.Index.Len(), src.Describe())
-
-	var ql *qlog.Logger
-	if *qlogPath != "" {
-		ql, err = qlog.New(qlog.Options{
-			Path: *qlogPath, Sample: *qlogSample, MaxBytes: *qlogMaxBytes,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := ql.Close(); err != nil {
-				log.Printf("geodns: query log: %v", err)
-			}
-		}()
-		log.Printf("geodns: query log at %s (1 in %d)", *qlogPath, max(1, *qlogSample))
+	ql, err := d.OpenQlog()
+	if err != nil {
+		d.Fatal(err)
 	}
+	defer d.CloseQlog(ql)
 
-	s := dnsserve.New(resolved.Index, dnsserve.Config{
-		TTL:       uint32(*ttl),
-		UDPSize:   uint16(*udpSize),
-		Rate:      *rate,
-		Burst:     *burst,
-		Tracer:    tracer,
-		QueryLog:  ql,
-		Source:    src,
-		IndexOpts: opts,
+	s := dnsserve.New(ix, dnsserve.Config{
+		TTL:      uint32(*ttl),
+		UDPSize:  uint16(*udpSize),
+		Rate:     *rate,
+		Burst:    *burst,
+		Tracer:   tracer,
+		QueryLog: ql,
 	})
 
 	// TCP binds first so a ":0" request resolves to one concrete port
 	// shared by both transports — the single address the log line
 	// advertises must answer either way.
-	ln, err := net.ListenTCP("tcp", mustTCPAddr(*addr))
+	tcpAddr, err := net.ResolveTCPAddr("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
+	}
+	ln, err := net.ListenTCP("tcp", tcpAddr)
+	if err != nil {
+		d.Fatal(err)
 	}
 	tcpAddr, ok := ln.Addr().(*net.TCPAddr)
 	if !ok {
-		fatal(fmt.Errorf("unexpected listener address %T", ln.Addr()))
+		d.Fatal(fmt.Errorf("unexpected listener address %T", ln.Addr()))
 	}
 	uconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: tcpAddr.IP, Port: tcpAddr.Port, Zone: tcpAddr.Zone})
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
 	// The admin plane binds before the listening line is logged: a bad
 	// -admin-addr fails fast, and anything scraping startup logs sees
@@ -164,7 +134,7 @@ func main() {
 	if *adminAddr != "" {
 		adminLn, err = net.Listen("tcp", *adminAddr)
 		if err != nil {
-			fatal(err)
+			d.Fatal(err)
 		}
 		log.Printf("geodns: admin plane on http://%s (metrics, healthz, pprof)", adminLn.Addr())
 	}
@@ -173,29 +143,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// SIGHUP reloads like geoserve's /v1/admin/reload; the loop joins
-	// main before exit so a reload in flight at shutdown finishes.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	hupDone := make(chan struct{})
-	go func() {
-		defer close(hupDone)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-hup:
-				if gen, suffixes, err := s.Reload(); err != nil {
-					log.Printf("geodns: SIGHUP reload failed, still serving generation %d: %v",
-						s.Generation(), err)
-				} else {
-					rs := s.ReloadStats()
-					log.Printf("geodns: SIGHUP reload: generation %d, %d suffixes, build %dµs, swap %dµs",
-						gen, suffixes, rs.LastBuildUS, rs.LastSwapUS)
-				}
-			}
-		}
-	}()
+	// SIGHUP reloads like geoserve's /v1/admin/reload.
+	hupDone := d.ReloadOnHUP(ctx, s.Live(), opts)
 
 	// All serve loops return once ctx is canceled (ServeTCP drains open
 	// connections, the admin server shuts down gracefully). Any loop
@@ -206,7 +155,7 @@ func main() {
 	go func() { errc <- s.ServeTCP(ctx, ln) }()
 	if adminLn != nil {
 		loops++
-		go func() { errc <- serveAdmin(ctx, adminLn, newAdmin(s, ql)) }()
+		go func() { errc <- daemon.Serve(ctx, adminLn, newAdmin(s, ql)) }()
 	}
 	err = <-errc
 	stop()
@@ -223,7 +172,7 @@ func main() {
 		err = cerr
 	}
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
 	log.Printf("geodns: shut down cleanly (%s)", statsLine(s.Stats()))
 }
@@ -244,40 +193,4 @@ func statsLine(stats map[string]int64) string {
 		parts = append(parts, fmt.Sprintf("%s=%d", k, stats[k]))
 	}
 	return strings.Join(parts, " ")
-}
-
-// serveAdmin runs the admin HTTP server on ln until ctx is cancelled,
-// then shuts down gracefully; nil on a clean drain, mirroring
-// geoserve's serve loop.
-func serveAdmin(ctx context.Context, ln net.Listener, h http.Handler) error {
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("admin shutdown: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
-
-func mustTCPAddr(addr string) *net.TCPAddr {
-	a, err := net.ResolveTCPAddr("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	return a
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "geodns:", err)
-	os.Exit(1)
 }

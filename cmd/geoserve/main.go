@@ -22,26 +22,27 @@
 //	                        convention's PPV evidence; ?format=text renders
 //	                        the hoiho -explain report
 //	POST /v1/admin/reload   rebuild from the boot source, validate, swap
-//	GET  /healthz           liveness, index size, serving generation
-//	GET  /metrics           expvar counters: requests, cache hits/misses,
-//	                        matches by suffix and class, latency histogram,
-//	                        reload lifecycle, per-route span aggregates
-//	                        ("routes") with status-class counts;
-//	                        ?format=prometheus switches to text exposition
-//	GET  /metrics/prom      Prometheus text exposition (same content)
+//	GET  /healthz           liveness, index size, serving generation, build info
+//	GET  /metrics/prom      Prometheus text exposition, the one metrics
+//	                        surface: requests, cache hits/misses, matches
+//	                        by suffix and class, latency histogram, reload
+//	                        lifecycle, per-route span aggregates with
+//	                        status-class counts, query-log counters
 //	GET  /debug/pprof/      net/http/pprof profiling (heap, profile, trace, ...)
 //
-// Reloads are zero-downtime: SIGHUP or POST /v1/admin/reload re-resolves
-// the boot source off the request path, spot-checks the replacement
-// index against the live one, and swaps an atomic pointer; in-flight
-// requests finish on the old index, which then drains to the garbage
-// collector. Error responses across /v1 share one JSON envelope:
-// {"error":{"code":...,"message":...}}.
+// Reloads are zero-downtime: SIGHUP or POST /v1/admin/reload runs
+// geoloc.Live.Reload, which re-resolves the boot source off the request
+// path, spot-checks the replacement index against the live one, and
+// swaps an atomic pointer; in-flight requests finish on the old index,
+// which then drains to the garbage collector. Error responses across /v1
+// share one JSON envelope: {"error":{"code":...,"message":...}}. Request
+// bodies are capped (a full batch of 253-byte hostnames); a larger one
+// is answered 413 request_too_large before it is decoded.
 //
 // With -runtime-sample <interval>, a background sampler records heap
 // size, goroutine count, GC pause and scheduler-latency quantiles into
-// a fixed-size ring; the newest sample is exported as gauges in the
-// Prometheus rendering.
+// a fixed-size ring; the newest sample is exported as gauges in
+// /metrics/prom.
 //
 // With -qlog <path>, every handled request appends a sampled JSONL
 // record (timestamp, request id, route, status, duration, serving
@@ -50,155 +51,69 @@
 // access-log lines to span aggregates. -version prints build info.
 //
 // The process drains in-flight requests and exits cleanly on SIGINT or
-// SIGTERM.
+// SIGTERM. The flags, boot, query log, SIGHUP loop, drain, /healthz,
+// pprof and the index/reload/qlog collectors are internal/daemon's,
+// shared with geodns.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"hoiho/internal/buildinfo"
-	"hoiho/internal/geoloc"
+	"hoiho/internal/daemon"
 	"hoiho/internal/obs"
-	"hoiho/internal/qlog"
 )
 
 func main() {
+	d := daemon.New("geoserve", flag.CommandLine)
 	addr := flag.String("addr", ":8099", "listen address")
-	src := &geoloc.Source{}
-	src.RegisterFlags(flag.CommandLine)
-	cacheSize := flag.Int("cache", geoloc.DefaultCacheSize,
-		"LRU result-cache entries (negative disables)")
-	usableOnly := flag.Bool("usable-only", false, "serve only good/promising conventions")
 	runtimeSample := flag.Duration("runtime-sample", 0,
-		"sample runtime telemetry (heap, goroutines, GC pauses) at this interval for /metrics (0 disables)")
-	qlogPath := flag.String("qlog", "", "write a sampled JSONL query log to this file (empty disables)")
-	qlogSample := flag.Int("qlog-sample", 1, "keep 1 in N query-log records")
-	qlogMaxBytes := flag.Int64("qlog-max-bytes", 64<<20,
-		"rotate the query log to <path>.1 before exceeding this size (0 disables rotation)")
-	version := flag.Bool("version", false, "print build info and exit")
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "geoserve")
-		return
-	}
-	if _, err := src.Kind(); err != nil {
-		fmt.Fprintln(os.Stderr, "geoserve:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
+		"sample runtime telemetry (heap, goroutines, GC pauses) at this interval for /metrics/prom (0 disables)")
+	d.Parse(os.Args[1:])
 
 	// One aggregate-only tracer spans the daemon's lifetime: learning
 	// (with -corpus), the index build, snapshot loads, reloads, per-batch
 	// lookups, and per-route request handling all roll up into the
-	// /metrics "routes" section.
+	// /metrics/prom route and span series.
 	tracer := obs.New(obs.Options{})
 	if *runtimeSample > 0 {
 		stop := tracer.StartRuntimeSampler(obs.RuntimeOptions{Interval: *runtimeSample})
 		defer stop()
 	}
 
-	opts := geoloc.Options{UsableOnly: *usableOnly, CacheSize: *cacheSize, Tracer: tracer}
-	resolved, err := src.Resolve(opts)
+	ix, opts, err := d.Boot(tracer)
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
-	log.Printf("geoserve: serving %d conventions from %s", resolved.Index.Len(), src.Describe())
-
-	s := newTracedServer(resolved.Index, tracer)
-	s.enableReload(src, opts)
-	if *qlogPath != "" {
-		ql, err := qlog.New(qlog.Options{
-			Path: *qlogPath, Sample: *qlogSample, MaxBytes: *qlogMaxBytes,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := ql.Close(); err != nil {
-				log.Printf("geoserve: query log: %v", err)
-			}
-		}()
-		s.enableQlog(ql)
-		log.Printf("geoserve: query log at %s (1 in %d)", *qlogPath, max(1, *qlogSample))
+	s := newTracedServer(ix, tracer)
+	s.enableReload(&d.Source, opts)
+	ql, err := d.OpenQlog()
+	if err != nil {
+		d.Fatal(err)
 	}
+	defer d.CloseQlog(ql)
+	s.enableQlog(ql)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
 	log.Printf("geoserve: listening on %s", ln.Addr())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// SIGHUP triggers the same validated hot swap as /v1/admin/reload.
-	// The loop exits with the serve context; main joins it below so a
-	// reload in flight at shutdown finishes logging.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	hupDone := make(chan struct{})
-	go func() {
-		defer close(hupDone)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-hup:
-				if st, err := s.reload(); err != nil {
-					log.Printf("geoserve: SIGHUP reload failed, still serving generation %d: %v",
-						s.live.Generation(), err)
-				} else {
-					log.Printf("geoserve: SIGHUP reload: generation %d, %d suffixes, build %dµs, swap %dµs",
-						st.Generation, st.Suffixes, st.BuildUS, st.SwapUS)
-				}
-			}
-		}
-	}()
-
-	err = serve(ctx, ln, s)
+	hupDone := d.ReloadOnHUP(ctx, s.live, opts)
+	err = daemon.Serve(ctx, ln, s)
 	stop() // release the hup loop even when serve failed on its own
 	<-hupDone
 	if err != nil {
-		fatal(err)
+		d.Fatal(err)
 	}
 	log.Print("geoserve: shut down cleanly")
-}
-
-// serve runs an HTTP server on ln until ctx is cancelled, then shuts
-// down gracefully: the listener closes, in-flight requests get up to
-// drainTimeout to complete, and nil is returned on a clean drain.
-func serve(ctx context.Context, ln net.Listener, h http.Handler) error {
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("geoserve: shutdown: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
-
-const drainTimeout = 10 * time.Second
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "geoserve:", err)
-	os.Exit(1)
 }

@@ -1,75 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"testing"
-
-	"hoiho/internal/core"
-	"hoiho/internal/geodict"
-	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
-	"hoiho/internal/psl"
-	"strings"
 )
-
-// TestMetricsRoutes exercises the per-route span aggregates: after a
-// mix of requests, /metrics must report an "http" row per route pattern
-// with accurate request counts, plus the index's lookup-batch spans
-// when the server shares the index's tracer.
-func TestMetricsRoutes(t *testing.T) {
-	res, err := core.ReadConventions(strings.NewReader(testConventions))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.New(obs.Options{})
-	ix, err := geoloc.New(res, geoloc.Options{
-		Dict: geodict.MustDefault(), PSL: psl.MustDefault(), Tracer: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTracedServer(ix, tr)
-
-	postJSON(t, s, "/v1/geolocate", `{"hostname":"et-0.core1.sjc1.he.net"}`)
-	postJSON(t, s, "/v1/geolocate", `{"hostnames":["a.core1.lhr1.he.net","b.unknown.org"]}`)
-	get(t, s, "/healthz")
-	w := get(t, s, "/metrics")
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d", w.Code)
-	}
-	var m struct {
-		Routes obs.Summary `json:"routes"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
-		t.Fatalf("metrics is not JSON: %v\n%s", err, w.Body)
-	}
-	byKey := map[string]obs.SummaryRow{}
-	for _, row := range m.Routes.Keys {
-		byKey[row.Name] = row
-	}
-	if r := byKey["POST /v1/geolocate"]; r.Count != 2 || r.Counters["requests"] != 2 {
-		t.Errorf("geolocate route row = %+v, want 2 requests", r)
-	}
-	if r := byKey["GET /healthz"]; r.Count != 1 {
-		t.Errorf("healthz route row = %+v, want 1 request", r)
-	}
-	// The /metrics request itself is spanned, but its span ends after
-	// the summary snapshot — it appears in later scrapes, not this one.
-	if _, ok := byKey["GET /metrics"]; ok {
-		t.Error("in-flight /metrics span leaked into its own snapshot")
-	}
-	byStage := map[string]obs.SummaryRow{}
-	for _, row := range m.Routes.Stages {
-		byStage[row.Name] = row
-	}
-	if r := byStage["lookup-batch"]; r.Count != 1 || r.Counters["hostnames"] != 2 {
-		t.Errorf("lookup-batch row = %+v, want one 2-hostname batch", r)
-	}
-	if _, ok := byStage["geoloc-compile"]; !ok {
-		t.Error("index build span missing from shared-tracer metrics")
-	}
-}
 
 // TestPprofEndpoints checks the profiling routes are wired: the index
 // page and a heap profile respond 200 on the server's own mux (nothing

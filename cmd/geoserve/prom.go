@@ -1,107 +1,55 @@
-// Prometheus text-exposition rendering for geoserve's /metrics.
-//
-// The JSON document at /metrics is the native shape; the collectors
-// here render the same counters — server totals, the /v1/geolocate
-// latency histogram (as a proper cumulative `le`-bucketed histogram),
-// the index's lookup counters, per-route span aggregates with
-// status-class counts, the query-log counters, and the
-// runtime-telemetry sampler's latest snapshot — through the shared
-// internal/promexp registry, the same layer cmd/geodns serves from, so
-// both daemons speak one exposition dialect under one conformance test.
+// Prometheus text exposition for geoserve's /metrics/prom, the
+// daemon's one metrics surface: server totals, the /v1/geolocate
+// latency histogram, per-route span aggregates with status-class
+// counts and the runtime-telemetry sampler's latest snapshot are
+// geoserve's own; the index, reload and query-log families come from
+// internal/daemon, which renders the same collectors for cmd/geodns.
+// Everything goes through the shared internal/promexp registry, so both
+// daemons speak one exposition dialect under one conformance test.
 package main
 
 import (
-	"expvar"
-	"net/http"
 	"strings"
 
+	"hoiho/internal/daemon"
 	"hoiho/internal/obs"
 	"hoiho/internal/promexp"
 )
-
-const promContentType = promexp.ContentType
 
 // newPromRegistry assembles the server's exposition in a fixed section
 // order: totals, latency, index, reload, routes, qlog, runtime.
 func (s *server) newPromRegistry() *promexp.Registry {
 	r := promexp.NewRegistry()
-	r.Register(s.promTotals, s.promLatency, s.promIndex, s.promReload,
+	r.Register(s.promTotals, s.promLatency,
+		daemon.IndexMetrics("geoserve", s.live), daemon.ReloadMetrics("geoserve", s.live),
 		s.promRoutes, s.promQlog, s.promRuntime)
 	return r
-}
-
-func (s *server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	s.prom.ServeHTTP(w, r)
 }
 
 // promTotals renders the server-wide request counters.
 func (s *server) promTotals(pw *promexp.Writer) {
 	pw.Counter("geoserve_requests_total", "HTTP requests received, any route.",
-		float64(s.varValue("requests")))
-	pw.Counter("geoserve_bad_requests_total", "Requests rejected with 400.",
-		float64(s.varValue("bad_requests")))
+		float64(s.requests.Load()))
+	pw.Counter("geoserve_bad_requests_total", "Requests rejected with a 4xx status.",
+		float64(s.badRequests.Load()))
 	pw.Counter("geoserve_hostnames_total", "Hostnames submitted to /v1/geolocate.",
-		float64(s.varValue("hostnames")))
+		float64(s.hostnames.Load()))
 }
 
-// promLatency renders the request-duration histogram. The expvar
-// buckets count per-band observations — exactly the shape
-// promexp.Writer.Histogram cumulates from.
+// promLatency renders the request-duration histogram. The counters are
+// per-band observations — exactly the shape promexp.Writer.Histogram
+// cumulates from.
 func (s *server) promLatency(pw *promexp.Writer) {
-	bounds := make([]float64, len(latencyBuckets))
-	counts := make([]int64, len(latencyBuckets)+1)
-	for i, b := range latencyBuckets {
-		bounds[i] = b.le.Seconds()
-		counts[i] = s.bucketValue(b.name)
+	bounds := make([]float64, len(latencyBounds))
+	counts := make([]int64, len(s.latency))
+	for i, le := range latencyBounds {
+		bounds[i] = le.Seconds()
 	}
-	counts[len(latencyBuckets)] = s.bucketValue(bucketInf)
+	for i := range s.latency {
+		counts[i] = s.latency[i].Load()
+	}
 	pw.Histogram("geoserve_request_duration_seconds", "Latency of /v1/geolocate requests.",
 		bounds, counts, float64(s.latSumUS.Load())/1e6)
-}
-
-// promIndex renders the lookup index's counters, including the
-// per-suffix and per-class match attributions as labeled series. The
-// counters belong to the current generation's index: a reload swaps in
-// a fresh index whose counters start at zero (generation is exported so
-// scrapes can attribute the reset).
-func (s *server) promIndex(pw *promexp.Writer) {
-	st := s.live.Index().Stats()
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"geoserve_index_lookups_total", "Hostname lookups against the index.", st.Lookups},
-		{"geoserve_index_cache_hits_total", "Lookups answered from the LRU cache.", st.CacheHits},
-		{"geoserve_index_cache_misses_total", "Lookups that missed the LRU cache.", st.CacheMisses},
-		{"geoserve_index_matched_total", "Lookups that matched a convention.", st.Matched},
-		{"geoserve_index_unmatched_total", "Lookups no convention matched.", st.Unmatched},
-	} {
-		pw.Counter(c.name, c.help, float64(c.v))
-	}
-	pw.Family("geoserve_index_suffix_matches_total", "Matches per convention suffix.", "counter")
-	for _, k := range promexp.SortedKeys(st.BySuffix) {
-		pw.Sample("geoserve_index_suffix_matches_total", promexp.Labels("suffix", k), float64(st.BySuffix[k]))
-	}
-	pw.Family("geoserve_index_class_matches_total", "Matches per convention classification.", "counter")
-	for _, k := range promexp.SortedKeys(st.ByClass) {
-		pw.Sample("geoserve_index_class_matches_total", promexp.Labels("class", k), float64(st.ByClass[k]))
-	}
-}
-
-// promReload renders the hot-reload lifecycle: the serving generation,
-// reload outcome counters, and the latest build/swap latencies.
-func (s *server) promReload(pw *promexp.Writer) {
-	rm := s.reloadMetrics()
-	pw.Gauge("geoserve_index_generation", "Serving index generation (1 = boot index, +1 per swap).",
-		float64(rm.Generation))
-	pw.Counter("geoserve_reloads_total", "Successful index reloads (SIGHUP or /v1/admin/reload).",
-		float64(rm.Reloads))
-	pw.Counter("geoserve_reload_failures_total", "Reload attempts rejected before the swap.",
-		float64(rm.Failures))
-	pw.Gauge("geoserve_reload_build_seconds", "Replacement-index build time of the last successful reload.",
-		float64(rm.LastBuildUS)/1e6)
-	pw.Gauge("geoserve_reload_swap_seconds", "Validate+swap time of the last successful reload.",
-		float64(rm.LastSwapUS)/1e6)
 }
 
 // promRoutes renders the per-route span aggregates: request counts,
@@ -155,16 +103,10 @@ func (s *server) promRoutes(pw *promexp.Writer) {
 	}
 }
 
-// promQlog renders the query-log counters. Nothing is emitted when the
-// log is disabled — absent families read unambiguously as "off".
+// promQlog renders the query-log counters of the logger attached at
+// scrape time (enableQlog runs after the registry is built).
 func (s *server) promQlog(pw *promexp.Writer) {
-	if !s.qlog.Enabled() {
-		return
-	}
-	st := s.qlog.Stats()
-	pw.Counter("geoserve_qlog_records_total", "Query-log records written.", float64(st.Logged))
-	pw.Counter("geoserve_qlog_sampled_out_total", "Queries skipped by the sampling rate.", float64(st.Skipped))
-	pw.Counter("geoserve_qlog_rotations_total", "Query-log file rotations.", float64(st.Rotations))
+	daemon.QlogMetrics("geoserve", s.qlog)(pw)
 }
 
 // promRuntime renders the newest runtime-telemetry sample as gauges.
@@ -186,12 +128,4 @@ func (s *server) promRuntime(pw *promexp.Writer) {
 	pw.Family("geoserve_runtime_sched_latency_seconds", "Scheduler latency quantiles at the last runtime sample.", "gauge")
 	pw.Sample("geoserve_runtime_sched_latency_seconds", promexp.Labels("quantile", "0.5"), latest.SchedLatP50US/1e6)
 	pw.Sample("geoserve_runtime_sched_latency_seconds", promexp.Labels("quantile", "0.99"), latest.SchedLatP99US/1e6)
-}
-
-// varValue reads one expvar counter from the server map.
-func (s *server) varValue(name string) int64 {
-	if v, ok := s.vars.Get(name).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"regexp"
@@ -16,6 +15,8 @@ import (
 	"hoiho/internal/promexp"
 	"hoiho/internal/psl"
 )
+
+const promContentType = promexp.ContentType
 
 // promServer builds a traced server with the runtime sampler on and a
 // request mix behind it: 3 geolocate hits (one batch), one 400, one
@@ -93,54 +94,11 @@ func leLabel(t *testing.T, line string) string {
 	return m[1]
 }
 
-// TestPromFormatSelection: the query-parameter form serves the same
-// exposition; unknown formats are 400s.
-func TestPromFormatSelection(t *testing.T) {
-	s := promServer(t)
-	w := get(t, s, "/metrics?format=prometheus")
-	if w.Code != http.StatusOK || w.Header().Get("Content-Type") != promContentType {
-		t.Errorf("format=prometheus: status %d, type %q", w.Code, w.Header().Get("Content-Type"))
-	}
-	if !strings.Contains(w.Body.String(), "# TYPE geoserve_requests_total counter") {
-		t.Error("format=prometheus body is not the exposition")
-	}
-	if w := get(t, s, "/metrics?format=xml"); w.Code != http.StatusBadRequest {
-		t.Errorf("format=xml: status %d, want 400", w.Code)
-	}
-	if w := get(t, s, "/metrics?format=json"); w.Code != http.StatusOK ||
-		w.Header().Get("Content-Type") != "application/json" {
-		t.Errorf("format=json: status %d, type %q", w.Code, w.Header().Get("Content-Type"))
-	}
-}
-
-// TestLatencyBucketOrder pins the numeric bucket order in both
-// renderings — the expvar lexical-sort bug this layer replaced put
-// "inf" first and "10ms" before "1ms".
+// TestLatencyBucketOrder pins the numeric bucket order of the latency
+// histogram — an expvar lexical sort once put "inf" first and "10ms"
+// before "1ms".
 func TestLatencyBucketOrder(t *testing.T) {
 	s := promServer(t)
-
-	body := get(t, s, "/metrics").Body.String()
-	want := []string{`"le_100us"`, `"le_1ms"`, `"le_10ms"`, `"le_100ms"`, `"inf"`}
-	last := -1
-	for _, key := range want {
-		idx := strings.Index(body, key)
-		if idx < 0 {
-			t.Fatalf("JSON metrics missing bucket %s:\n%s", key, body)
-		}
-		if idx < last {
-			t.Errorf("JSON bucket %s out of numeric order", key)
-		}
-		last = idx
-	}
-	var m struct {
-		Latency map[string]int64 `json:"latency_us"`
-	}
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("ordered latency object is not valid JSON: %v", err)
-	}
-	if len(m.Latency) != len(latencyBuckets)+1 {
-		t.Errorf("latency histogram has %d keys, want %d", len(m.Latency), len(latencyBuckets)+1)
-	}
 
 	prom := get(t, s, "/metrics/prom").Body.String()
 	var les []string
@@ -155,37 +113,29 @@ func TestLatencyBucketOrder(t *testing.T) {
 }
 
 // TestRouteStatusClasses: the status-capturing writer attributes
-// response classes per route in both renderings.
+// response classes per route, and the shared tracer's span aggregates
+// (the index build and per-batch lookups) are exported beside them.
 func TestRouteStatusClasses(t *testing.T) {
 	s := promServer(t) // 2 OK + 1 bad on /v1/geolocate, 1 OK on /healthz
 
-	var m struct {
-		Routes obs.Summary `json:"routes"`
-	}
-	if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[string]obs.SummaryRow{}
-	for _, row := range m.Routes.Keys {
-		byKey[row.Name] = row
-	}
-	geo := byKey["POST /v1/geolocate"]
-	if geo.Counters["status_2xx"] != 2 || geo.Counters["status_4xx"] != 1 {
-		t.Errorf("geolocate status counters = %v, want 2xx=2 4xx=1", geo.Counters)
-	}
-	if byKey["GET /healthz"].Counters["status_2xx"] != 1 {
-		t.Errorf("healthz status counters = %v", byKey["GET /healthz"].Counters)
-	}
-
 	prom := get(t, s, "/metrics/prom").Body.String()
 	for _, want := range []string{
+		`geoserve_route_requests_total{route="POST /v1/geolocate"} 3`,
+		`geoserve_route_requests_total{route="GET /healthz"} 1`,
 		`geoserve_route_status_total{route="POST /v1/geolocate",class="2xx"} 2`,
 		`geoserve_route_status_total{route="POST /v1/geolocate",class="4xx"} 1`,
 		`geoserve_route_status_total{route="GET /healthz",class="2xx"} 1`,
+		`geoserve_span_count_total{span="lookup-batch"} 1`,
+		`geoserve_span_count_total{span="geoloc-compile"} 1`,
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("exposition missing %q\n%s", want, prom)
 		}
+	}
+	// The scrape's own span ends after its snapshot: it shows up in
+	// later scrapes, not this one.
+	if strings.Contains(prom, `route="GET /metrics/prom"`) {
+		t.Error("in-flight /metrics/prom span leaked into its own snapshot")
 	}
 }
 

@@ -62,7 +62,10 @@ func TestErrorEnvelope(t *testing.T) {
 		{"wrong method", "GET", "/v1/geolocate", "", 405, "method_not_allowed"},
 		{"unknown endpoint", "POST", "/v1/nope", `{}`, 404, "not_found"},
 		{"reload not configured", "POST", "/v1/admin/reload", "", 503, "reload_unavailable"},
-		{"bad metrics format", "GET", "/metrics?format=xml", "", 400, "unknown_format"},
+		{"body too large", "POST", "/v1/geolocate",
+			`{"hostname":"` + strings.Repeat("a", maxBodyBytes) + `"}`, 413, "request_too_large"},
+		{"explain body too large", "POST", "/v1/explain",
+			`{"hostname":"` + strings.Repeat("a", maxBodyBytes) + `"}`, 413, "request_too_large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,18 +147,11 @@ func TestReloadSwapsGenerations(t *testing.T) {
 		t.Errorf("post-reload lookup = %+v", res)
 	}
 
-	// The reload lifecycle lands in /metrics (JSON and Prometheus).
-	var m struct {
-		Reload reloadMetricsJSON `json:"reload"`
-	}
-	if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Reload.Generation != 4 || m.Reload.Reloads != 3 || m.Reload.Failures != 0 {
-		t.Errorf("reload metrics = %+v", m.Reload)
-	}
+	// The reload lifecycle lands in /metrics/prom.
 	prom := get(t, s, "/metrics/prom").Body.String()
-	for _, want := range []string{"geoserve_index_generation 4", "geoserve_reloads_total 3"} {
+	for _, want := range []string{
+		"geoserve_index_generation 4", "geoserve_reloads_total 3", "geoserve_reload_failures_total 0",
+	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("prometheus exposition missing %q", want)
 		}
@@ -194,7 +190,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	if gen := s.live.Generation(); gen != 1 {
 		t.Errorf("generation = %d after failed reload, want 1", gen)
 	}
-	if fails := s.reloadMetrics().Failures; fails != 1 {
+	if fails := s.live.ReloadStats().Failures; fails != 1 {
 		t.Errorf("failure counter = %d, want 1", fails)
 	}
 	w = postJSON(t, s, "/v1/geolocate", `{"hostname":"et-0.core1.sjc1.he.net"}`)

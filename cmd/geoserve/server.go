@@ -3,17 +3,14 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"hoiho/internal/buildinfo"
 	"hoiho/internal/core"
+	"hoiho/internal/daemon"
 	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
 	"hoiho/internal/promexp"
@@ -25,38 +22,40 @@ import (
 // one client's megabatch.
 const maxBatch = 10000
 
-// spotCheckSamples is how many suffixes a reload validates against the
-// outgoing index before the swap (see geoloc.SpotCheck).
-const spotCheckSamples = 16
+// maxHostnameLen is the DNS limit on a hostname's text form.
+const maxHostnameLen = 253
+
+// maxBodyBytes caps a /v1 request body before it is decoded: a full
+// batch of maximum-length hostnames, each quoted and comma-separated,
+// plus room for the enclosing object and whitespace. Without it a
+// client could make the server buffer a body of any size.
+const maxBodyBytes = maxBatch*(maxHostnameLen+3) + 4096
 
 // server is the geoserve HTTP API over a hot-swappable compiled lookup
 // index. Lookups go through live — an atomic pointer to the current
 // Index — so a reload never blocks or fails a request: handlers load
 // the pointer once, the swap is a single atomic store, and the old
 // index drains as in-flight requests finish (see DESIGN.md §10).
-// Request counters live in expvar maps (unpublished, so tests can build
-// many servers); the /metrics handler merges them with the index's own
-// counters.
+// Request totals and the latency histogram are atomics rendered by the
+// /metrics/prom collectors.
 type server struct {
 	live     *geoloc.Live
 	src      *geoloc.Source // reload input; nil disables /v1/admin/reload
 	ixOpts   geoloc.Options // options every reload compiles with
 	mux      *http.ServeMux
-	vars     *expvar.Map // requests, bad_requests, hostnames by endpoint
-	latency  *expvar.Map // /v1/geolocate latency histogram buckets
-	latSumUS atomic.Int64
-	tracer   *obs.Tracer       // aggregate-only: per-route spans for /metrics
+	tracer   *obs.Tracer       // aggregate-only: per-route spans for /metrics/prom
 	prom     *promexp.Registry // /metrics/prom collectors, shared dialect with geodns
 	qlog     *qlog.Logger      // sampled query log; nil (disabled) unless -qlog
 	patterns []string          // registered route patterns, in registration order
 	start    time.Time
 
-	// Reload bookkeeping: one reload at a time; counters feed /metrics.
-	reloadMu       sync.Mutex
-	reloads        atomic.Int64
-	reloadFailures atomic.Int64
-	lastBuildUS    atomic.Int64
-	lastSwapUS     atomic.Int64
+	requests    atomic.Int64 // any route
+	badRequests atomic.Int64 // 4xx responses
+	hostnames   atomic.Int64 // submitted to /v1/geolocate
+	// /v1/geolocate latency histogram: per-band counts over
+	// latencyBounds (last slot is +Inf) and a microsecond sum.
+	latency  [len(latencyBounds) + 1]atomic.Int64
+	latSumUS atomic.Int64
 }
 
 func newServer(ix *geoloc.Index) *server {
@@ -70,33 +69,19 @@ func newServer(ix *geoloc.Index) *server {
 // one tracer between the index (compile + batch spans) and the routes.
 func newTracedServer(ix *geoloc.Index, tr *obs.Tracer) *server {
 	s := &server{
-		live:    geoloc.NewLive(ix),
-		mux:     http.NewServeMux(),
-		vars:    new(expvar.Map).Init(),
-		latency: new(expvar.Map).Init(),
-		tracer:  tr,
-		start:   time.Now(),
+		live:   geoloc.NewLive(ix),
+		mux:    http.NewServeMux(),
+		tracer: tr,
+		start:  time.Now(),
 	}
-	// Pre-register the histogram so /metrics always shows every bucket.
-	for _, b := range latencyBuckets {
-		s.latency.Add(b.name, 0)
-	}
-	s.latency.Add(bucketInf, 0)
 	s.prom = s.newPromRegistry()
 	s.route("POST /v1/geolocate", s.handleGeolocate)
 	s.route("GET /v1/explain", s.handleExplain)
 	s.route("POST /v1/explain", s.handleExplain)
 	s.route("POST /v1/admin/reload", s.handleReload)
-	s.route("GET /healthz", s.handleHealthz)
-	s.route("GET /metrics", s.handleMetrics)
-	s.route("GET /metrics/prom", s.handleMetricsProm)
-	// Profiling endpoints, registered explicitly (the pprof package's
-	// side-effect registration only covers http.DefaultServeMux).
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	s.route("GET /healthz", daemon.Healthz(s.live, s.start))
+	s.route("GET /metrics/prom", s.prom.ServeHTTP)
+	daemon.RegisterPprof(s.mux)
 	return s
 }
 
@@ -114,7 +99,7 @@ func (s *server) enableQlog(l *qlog.Logger) {
 }
 
 // route registers a handler wrapped in an "http" span keyed by the
-// route pattern, feeding the per-route section of /metrics. The span
+// route pattern, feeding the per-route series of /metrics/prom. The span
 // also counts the response's status class (2xx/4xx/5xx), captured by a
 // statusWriter. Profiling routes stay unwrapped — a 30-second CPU
 // profile would dominate every latency aggregate.
@@ -185,7 +170,7 @@ func statusClass(code int) string {
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.vars.Add("requests", 1)
+	s.requests.Add(1)
 	if strings.HasPrefix(r.URL.Path, "/v1/") {
 		// The mux's own 404/405 responses are plain text; under /v1 they
 		// are rewritten into the JSON error envelope so every API error
@@ -208,10 +193,10 @@ type apiErrorDetail struct {
 }
 
 // writeError emits the envelope with the given status. 4xx responses
-// count as bad_requests in /metrics.
+// count in geoserve_bad_requests_total.
 func (s *server) writeError(w http.ResponseWriter, status int, code, msg string) {
 	if status >= 400 && status < 500 {
-		s.vars.Add("bad_requests", 1)
+		s.badRequests.Add(1)
 	}
 	writeJSON(w, status, apiError{apiErrorDetail{Code: code, Message: msg}})
 }
@@ -231,7 +216,7 @@ func (w *v1ErrorWriter) WriteHeader(status int) {
 		return
 	}
 	w.intercepted = true
-	w.srv.vars.Add("bad_requests", 1)
+	w.srv.badRequests.Add(1)
 	code, msg := "not_found", "no such endpoint"
 	if status == http.StatusMethodNotAllowed {
 		code, msg = "method_not_allowed", "method not allowed for this endpoint"
@@ -308,11 +293,7 @@ func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
 	// single index generation even if a swap lands mid-flight.
 	ix := s.live.Index()
 	var req lookupRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "malformed_request",
-			fmt.Sprintf("malformed request: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	single := req.Hostname != ""
@@ -325,18 +306,39 @@ func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "batch_too_large",
 			fmt.Sprintf("batch exceeds %d hostnames", maxBatch))
 	case single:
-		s.vars.Add("hostnames", 1)
+		s.hostnames.Add(1)
 		logHostname(w, req.Hostname)
 		g, _ := ix.Lookup(req.Hostname)
 		writeJSON(w, http.StatusOK, toResult(req.Hostname, g))
 	default:
-		s.vars.Add("hostnames", int64(len(req.Hostnames)))
+		s.hostnames.Add(int64(len(req.Hostnames)))
 		resp := batchResponse{Results: make([]lookupResult, len(req.Hostnames))}
 		for i, g := range ix.LookupBatch(req.Hostnames) {
 			resp.Results[i] = toResult(req.Hostnames[i], g)
 		}
 		writeJSON(w, http.StatusOK, resp)
 	}
+}
+
+// decodeBody decodes a JSON request body, capped at maxBodyBytes, into
+// v. When it cannot, it writes the error envelope — 413 for an oversized
+// body, 400 for a malformed one — and returns false.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.writeError(w, http.StatusRequestEntityTooLarge, "request_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+	default:
+		s.writeError(w, http.StatusBadRequest, "malformed_request",
+			fmt.Sprintf("malformed request: %v", err))
+	}
+	return false
 }
 
 // explainRequest is the POST /v1/explain body; GET passes ?hostname=.
@@ -355,11 +357,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		hostname = r.URL.Query().Get("hostname")
 	} else {
 		var req explainRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, "malformed_request",
-				fmt.Sprintf("malformed request: %v", err))
+		if !s.decodeBody(w, r, &req) {
 			return
 		}
 		hostname = req.Hostname
@@ -384,26 +382,8 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	info := buildinfo.Read()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     "ok",
-		"suffixes":   s.live.Index().Len(),
-		"generation": s.live.Generation(),
-		"uptime_s":   int64(time.Since(s.start).Seconds()),
-		"commit":     info.Commit,
-		"go_version": info.GoVersion,
-	})
-}
-
-// errNoReloadSource marks a reload attempt on a server whose input was
-// not configured for reloading (tests, or a future frozen mode).
-var errNoReloadSource = errors.New("no reloadable source configured")
-
-// reloadStatus is the success body of /v1/admin/reload and the log line
-// payload of a SIGHUP reload. SwapUS covers validation plus the atomic
-// swap — the window in which the replacement exists but is not yet
-// serving; lookups proceed normally throughout.
+// reloadStatus is the success body of /v1/admin/reload (see
+// geoloc.Reloaded for the timings).
 type reloadStatus struct {
 	Status     string `json:"status"`
 	Generation uint64 `json:"generation"`
@@ -412,161 +392,39 @@ type reloadStatus struct {
 	SwapUS     int64  `json:"swap_us"`
 }
 
-// reload builds a replacement index from the configured source,
-// validates it against the live one, and swaps it in. Concurrent
-// reloads serialize on reloadMu; lookups are never blocked — they keep
-// hitting the old index until the single atomic store. The old index
-// drains naturally: requests that loaded it finish against it, then the
-// GC reclaims it.
-func (s *server) reload() (reloadStatus, error) {
-	if s.src == nil {
-		return reloadStatus{}, errNoReloadSource
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	sp := s.tracer.Start("reload")
-	defer sp.End()
-	t0 := time.Now()
-	resolved, err := s.src.Resolve(s.ixOpts)
-	if err != nil {
-		s.reloadFailures.Add(1)
-		sp.Count("failures", 1)
-		return reloadStatus{}, err
-	}
-	buildUS := int64(time.Since(t0) / time.Microsecond)
-	t1 := time.Now()
-	if err := geoloc.SpotCheck(s.live.Index(), resolved.Index, spotCheckSamples); err != nil {
-		s.reloadFailures.Add(1)
-		sp.Count("failures", 1)
-		return reloadStatus{}, err
-	}
-	_, gen := s.live.Swap(resolved.Index)
-	swapUS := int64(time.Since(t1) / time.Microsecond)
-	s.reloads.Add(1)
-	s.lastBuildUS.Store(buildUS)
-	s.lastSwapUS.Store(swapUS)
-	sp.Count("suffixes", int64(resolved.Index.Len()))
-	return reloadStatus{
-		Status: "ok", Generation: gen, Suffixes: resolved.Index.Len(),
-		BuildUS: buildUS, SwapUS: swapUS,
-	}, nil
-}
-
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
-	st, err := s.reload()
+	rl, err := s.live.Reload(s.src, s.ixOpts)
 	switch {
-	case errors.Is(err, errNoReloadSource):
+	case errors.Is(err, geoloc.ErrNoSource):
 		s.writeError(w, http.StatusServiceUnavailable, "reload_unavailable", err.Error())
 	case err != nil:
 		s.writeError(w, http.StatusInternalServerError, "reload_failed", err.Error())
 	default:
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, reloadStatus{
+			Status: "ok", Generation: rl.Generation, Suffixes: rl.Suffixes,
+			BuildUS: rl.BuildUS, SwapUS: rl.SwapUS,
+		})
 	}
 }
 
-// reloadMetricsJSON is the "reload" section of /metrics.
-type reloadMetricsJSON struct {
-	Generation  uint64 `json:"generation"`
-	Reloads     int64  `json:"reloads"`
-	Failures    int64  `json:"failures"`
-	LastBuildUS int64  `json:"last_build_us"`
-	LastSwapUS  int64  `json:"last_swap_us"`
-}
-
-func (s *server) reloadMetrics() reloadMetricsJSON {
-	return reloadMetricsJSON{
-		Generation:  s.live.Generation(),
-		Reloads:     s.reloads.Load(),
-		Failures:    s.reloadFailures.Load(),
-		LastBuildUS: s.lastBuildUS.Load(),
-		LastSwapUS:  s.lastSwapUS.Load(),
-	}
-}
-
-// handleMetrics emits one JSON document: the server's expvar counters,
-// the /v1/geolocate latency histogram, the index's lookup counters, the
-// reload lifecycle counters, and the per-route span aggregates.
-// `?format=prometheus` switches to the text exposition format (also
-// served at /metrics/prom).
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch f := r.URL.Query().Get("format"); f {
-	case "", "json":
-	case "prometheus", "prom":
-		s.handleMetricsProm(w, r)
-		return
-	default:
-		s.writeError(w, http.StatusBadRequest, "unknown_format",
-			fmt.Sprintf("unknown format %q (want json or prometheus)", f))
-		return
-	}
-	index, err := json.Marshal(s.live.Index().Stats())
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal_error", err.Error())
-		return
-	}
-	reload, err := json.Marshal(s.reloadMetrics())
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal_error", err.Error())
-		return
-	}
-	routes, err := json.Marshal(s.tracer.Summary())
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal_error", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore droppederr a write failure means the client disconnected; there is no channel to report it
-	fmt.Fprintf(w, `{"server":%s,"latency_us":%s,"index":%s,"reload":%s,"routes":%s}`+"\n",
-		s.vars.String(), s.latencyJSON(), index, reload, routes)
-}
-
-// latencyJSON renders the latency histogram with buckets in numeric
-// order. expvar.Map.String() sorts keys lexically — which would put
-// "inf" first and interleave bucket bounds ("le_10ms" < "le_1ms") — so
-// the object is assembled by hand from the canonical bucket slice.
-func (s *server) latencyJSON() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for _, bucket := range latencyBuckets {
-		fmt.Fprintf(&b, "%q: %d, ", bucket.name, s.bucketValue(bucket.name))
-	}
-	fmt.Fprintf(&b, "%q: %d}", bucketInf, s.bucketValue(bucketInf))
-	return b.String()
-}
-
-// bucketValue reads one histogram counter (0 when never incremented).
-func (s *server) bucketValue(name string) int64 {
-	if v, ok := s.latency.Get(name).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
-// latencyBuckets are the upper bounds of the /v1/geolocate latency
+// latencyBounds are the upper bounds of the /v1/geolocate latency
 // histogram, in ascending order; requests above the last bound land in
-// bucketInf. Names carry units so the rendered order reads naturally.
-var latencyBuckets = []struct {
-	name string
-	le   time.Duration
-}{
-	{"le_100us", 100 * time.Microsecond},
-	{"le_1ms", time.Millisecond},
-	{"le_10ms", 10 * time.Millisecond},
-	{"le_100ms", 100 * time.Millisecond},
+// the +Inf band.
+var latencyBounds = [...]time.Duration{
+	100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond,
 }
-
-const bucketInf = "inf"
 
 func (s *server) observeLatency(start time.Time) {
 	d := time.Since(start)
 	s.latSumUS.Add(int64(d / time.Microsecond))
-	for _, b := range latencyBuckets {
-		if d <= b.le {
-			s.latency.Add(b.name, 1)
-			return
+	band := len(latencyBounds)
+	for i, le := range latencyBounds {
+		if d <= le {
+			band = i
+			break
 		}
 	}
-	s.latency.Add(bucketInf, 1)
+	s.latency[band].Add(1)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hoiho/internal/core"
+	"hoiho/internal/daemon"
 	"hoiho/internal/geodict"
 	"hoiho/internal/geoloc"
 	"hoiho/internal/psl"
@@ -164,41 +165,29 @@ func TestMetricsCounters(t *testing.T) {
 	postJSON(t, s, "/v1/geolocate", `{"hostname":"et-0.core1.sjc1.he.net"}`)
 	postJSON(t, s, "/v1/geolocate", `{"hostnames":["a.core1.lhr1.he.net","b.unknown.org"]}`)
 	postJSON(t, s, "/v1/geolocate", `{}`)
-	w := get(t, s, "/metrics")
+	w := get(t, s, "/metrics/prom")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
-	var m struct {
-		Server struct {
-			Requests    int64 `json:"requests"`
-			BadRequests int64 `json:"bad_requests"`
-			Hostnames   int64 `json:"hostnames"`
-		} `json:"server"`
-		Latency map[string]int64 `json:"latency_us"`
-		Index   geoloc.Stats     `json:"index"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
-		t.Fatalf("metrics is not JSON: %v\n%s", err, w.Body)
-	}
-	if m.Server.Requests != 5 || m.Server.BadRequests != 1 || m.Server.Hostnames != 4 {
-		t.Errorf("server counters = %+v", m.Server)
-	}
-	if m.Index.Lookups != 4 || m.Index.Matched != 3 || m.Index.CacheHits != 1 {
-		t.Errorf("index counters = %+v", m.Index)
-	}
-	if m.Index.BySuffix["he.net"] != 3 || m.Index.ByClass["good"] != 3 {
-		t.Errorf("match attribution = %+v", m.Index)
-	}
-	var observations int64
-	for _, n := range m.Latency {
-		observations += n
-	}
-	if observations != 4 {
-		t.Errorf("latency histogram observed %d requests, want 4", observations)
+	// The scrape itself is request 5.
+	for _, want := range []string{
+		"geoserve_requests_total 5",
+		"geoserve_bad_requests_total 1",
+		"geoserve_hostnames_total 4",
+		"geoserve_index_lookups_total 4",
+		"geoserve_index_matched_total 3",
+		"geoserve_index_cache_hits_total 1",
+		`geoserve_index_suffix_matches_total{suffix="he.net"} 3`,
+		`geoserve_index_class_matches_total{class="good"} 3`,
+		"geoserve_request_duration_seconds_count 4",
+	} {
+		if !strings.Contains(w.Body.String(), want+"\n") {
+			t.Errorf("exposition missing %q\n%s", want, w.Body)
+		}
 	}
 }
 
-// TestServeGracefulShutdown drives the same serve() main runs: requests
+// TestServeGracefulShutdown drives the same daemon.Serve main runs: requests
 // succeed while the context lives, and cancellation drains cleanly.
 func TestServeGracefulShutdown(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -208,7 +197,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := newServer(testIndex(t))
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, ln, s) }()
+	go func() { done <- daemon.Serve(ctx, ln, s) }()
 
 	url := "http://" + ln.Addr().String() + "/healthz"
 	var resp *http.Response

@@ -18,50 +18,98 @@ type Geolocation struct {
 	Learned  bool // the hint resolved through a stage-4 learned geohint
 }
 
-// Geolocate applies a naming convention to a hostname: the first
-// matching regex extracts a geohint, which ResolveExtraction interprets.
-// It is a thin wrapper kept for one-off application; services applying
-// conventions at volume should compile them into a geoloc.Index, which
-// shares the exported resolution helpers below.
+// Geolocate applies a naming convention to a hostname through Decide,
+// resolving learned geohints by scanning the convention's Learned list.
+// It serves one-off application; services applying conventions at
+// volume should compile them into a geoloc.Index, which runs the same
+// Decide over a precomputed learned-hint overlay.
 func Geolocate(nc *NamingConvention, dict *geodict.Dictionary, host string) (*Geolocation, bool) {
 	if nc == nil {
 		return nil, false
 	}
+	g := Decide(nc, dict, host, nc.LearnedHint, nil)
+	return g, g != nil
+}
+
+// LearnedHint returns the convention's first learned geohint for the
+// extraction (type, hint), or nil.
+func (nc *NamingConvention) LearnedHint(typ geodict.HintType, hint string) *LearnedHint {
+	for _, lh := range nc.Learned {
+		if lh.Type == typ && lh.Hint == hint {
+			return lh
+		}
+	}
+	return nil
+}
+
+// Resolution says how Decide interpreted one regex.
+type Resolution int
+
+const (
+	// NoMatch: the regex did not match; the next regex is tried.
+	NoMatch Resolution = iota
+	// ResolvedLearned: the extraction resolved through a stage-4
+	// learned geohint, which takes precedence over the dictionary.
+	ResolvedLearned
+	// ResolvedDictionary: the extraction resolved through the reference
+	// dictionary, disambiguated across interpretations.
+	ResolvedDictionary
+	// Unresolved: the regex matched but the extraction resolved to no
+	// location. The first matching regex decides, so this is a miss.
+	Unresolved
+)
+
+// Step is one regex Decide tried, reported to a step recorder.
+type Step struct {
+	Regex      *rex.Regex
+	Resolution Resolution
+	Ext        rex.Extraction // zero when the regex did not match
+	// Candidates counts dictionary interpretations that survived
+	// annotation filtering (dictionary steps only).
+	Candidates int
+	Learned    *LearnedHint      // the overlay entry (learned steps only)
+	Loc        *geodict.Location // the answer (resolved steps only)
+}
+
+// Decide is the paper's application rule, the one decision procedure
+// behind Geolocate, geoloc lookups and explanations: the convention's
+// regexes are tried in order and the first that matches decides. Its
+// extraction resolves first through learned (the learned-geohint
+// lookup) and then through the dictionary, disambiguating multiple
+// interpretations by facility presence and population (the paper's
+// ranking for learned hints, which Lakhina et al.'s population-density
+// observation motivates); an extraction that resolves to no location is
+// a miss, not a fall-through to later regexes. rec, when non-nil,
+// receives every regex tried; a nil rec costs nothing. The result is nil
+// on a miss.
+func Decide(nc *NamingConvention, dict *geodict.Dictionary, host string,
+	learned func(geodict.HintType, string) *LearnedHint, rec func(Step)) *Geolocation {
 	for _, r := range nc.Regexes {
 		ext, ok := r.Match(host)
 		if !ok {
+			if rec != nil {
+				rec(Step{Regex: r})
+			}
 			continue
 		}
-		loc, learned, ok := ResolveExtraction(nc, dict, ext)
-		if !ok {
-			return nil, false
+		st := Step{Regex: r, Resolution: Unresolved, Ext: ext, Learned: learned(ext.Type, ext.Hint)}
+		if st.Learned != nil {
+			st.Resolution, st.Loc = ResolvedLearned, st.Learned.Loc
+		} else if locs := DictionaryLocations(dict, ext); len(locs) > 0 {
+			st.Resolution, st.Candidates, st.Loc = ResolvedDictionary, len(locs), PickLocation(dict, locs)
+		}
+		if rec != nil {
+			rec(st)
+		}
+		if st.Resolution == Unresolved {
+			return nil
 		}
 		return &Geolocation{
 			Hostname: host, Suffix: nc.Suffix, Hint: ext.Hint, Type: ext.Type,
-			Loc: loc, Learned: learned,
-		}, true
-	}
-	return nil, false
-}
-
-// ResolveExtraction interprets a regex extraction: first through the
-// convention's learned geohints and then through the reference
-// dictionary, disambiguating multiple interpretations by facility
-// presence and population (the paper's ranking for learned hints, which
-// Lakhina et al.'s population-density observation motivates). ok is
-// false when the extracted string resolves to no location.
-func ResolveExtraction(nc *NamingConvention, dict *geodict.Dictionary, ext rex.Extraction) (loc *geodict.Location, learned, ok bool) {
-	// Learned geohints take precedence over the dictionary.
-	for _, lh := range nc.Learned {
-		if lh.Type == ext.Type && lh.Hint == ext.Hint {
-			return lh.Loc, true, true
+			Loc: st.Loc, Learned: st.Learned != nil,
 		}
 	}
-	locs := DictionaryLocations(dict, ext)
-	if len(locs) == 0 {
-		return nil, false, false
-	}
-	return PickLocation(dict, locs), false, true
+	return nil
 }
 
 // DictionaryLocations resolves an extraction against the reference

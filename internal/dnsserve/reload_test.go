@@ -42,10 +42,15 @@ func writeTestSnapshot(t *testing.T, dir string) *geoloc.Source {
 	return &geoloc.Source{Snapshot: path}
 }
 
+// TestReloadNoSource: a daemon started without a reloadable source
+// refuses the reload and keeps serving its boot generation.
 func TestReloadNoSource(t *testing.T) {
 	s := testServer(t)
-	if _, _, err := s.Reload(); !errors.Is(err, errNoReloadSource) {
-		t.Errorf("Reload error = %v, want errNoReloadSource", err)
+	if _, err := s.Live().Reload(nil, testOptions()); !errors.Is(err, geoloc.ErrNoSource) {
+		t.Errorf("Reload error = %v, want geoloc.ErrNoSource", err)
+	}
+	if gen := s.Live().Generation(); gen != 1 {
+		t.Errorf("generation = %d after refused reload, want 1", gen)
 	}
 }
 
@@ -56,14 +61,17 @@ func TestReloadSwapsGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{}), Source: src, IndexOpts: opts})
-	gen0 := s.Generation()
-	gen, suffixes, err := s.Reload()
+	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{})})
+	gen0 := s.Live().Generation()
+	r, err := s.Live().Reload(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen <= gen0 || suffixes == 0 {
-		t.Errorf("Reload = (gen %d, suffixes %d), want gen > %d", gen, suffixes, gen0)
+	if r.Generation <= gen0 || r.Suffixes == 0 {
+		t.Errorf("Reload = %+v, want generation > %d", r, gen0)
+	}
+	if s.Live().Index() == resolved.Index {
+		t.Error("server still answers from the boot index after the reload")
 	}
 }
 
@@ -78,7 +86,7 @@ func TestReloadUnderQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{}), Source: src, IndexOpts: opts})
+	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{})})
 	pkt, err := q(locatedName, dnswire.TypeTXT).Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +117,9 @@ func TestReloadUnderQuery(t *testing.T) {
 	}
 
 	const reloads = 20
-	gen0 := s.Generation()
+	gen0 := s.Live().Generation()
 	for i := 0; i < reloads; i++ {
-		if _, _, err := s.Reload(); err != nil {
+		if _, err := s.Live().Reload(src, opts); err != nil {
 			t.Errorf("reload %d: %v", i, err)
 		}
 		time.Sleep(time.Millisecond)
@@ -119,7 +127,7 @@ func TestReloadUnderQuery(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := s.Generation(); got != gen0+reloads {
+	if got := s.Live().Generation(); got != gen0+reloads {
 		t.Errorf("generation = %d, want %d", got, gen0+reloads)
 	}
 	if failures.Load() != 0 {

@@ -21,11 +21,10 @@ import (
 // loops notice context cancellation; they are polls, not per-client
 // timeouts.
 const (
-	minUDPSize       = 512  // RFC 1035 floor; never negotiate below
-	defaultUDPSize   = 1232 // fits any unfragmented path, EDNS default
-	pollInterval     = 250 * time.Millisecond
-	tcpIdleTimeout   = 10 * time.Second // per-read deadline on an open TCP conn
-	spotCheckSamples = 16
+	minUDPSize     = 512  // RFC 1035 floor; never negotiate below
+	defaultUDPSize = 1232 // fits any unfragmented path, EDNS default
+	pollInterval   = 250 * time.Millisecond
+	tcpIdleTimeout = 10 * time.Second // per-read deadline on an open TCP conn
 )
 
 // queryStage is the tracer stage every handled packet records under;
@@ -51,10 +50,6 @@ type Config struct {
 	// handled packet; its request id is also stamped on the query span.
 	// Nil (the zero value) disables logging at zero cost.
 	QueryLog *qlog.Logger
-	// Source and IndexOpts feed Reload; a nil Source makes Reload an
-	// error, matching a daemon started without a reloadable input.
-	Source    *geoloc.Source
-	IndexOpts geoloc.Options
 }
 
 // ednsBounds are the histogram bands for negotiated UDP response
@@ -63,26 +58,16 @@ type Config struct {
 // a slice, so the Server's counter block can size itself from it.
 var ednsBounds = [3]float64{512, 1232, 4096}
 
-var errNoReloadSource = errors.New("dnsserve: no source configured for reload")
-
 // Server answers DNS queries about router hostnames from a live geoloc
 // index. One Server may serve UDP and TCP concurrently; every packet
-// is handled against a single index generation even while Reload swaps
-// a new one in.
+// is handled against a single index generation even while a reload of
+// Live swaps a new one in.
 type Server struct {
 	cfg     Config
 	live    *geoloc.Live
 	limiter *limiter
 	tracer  *obs.Tracer
 	qlog    *qlog.Logger
-
-	// Reload lifecycle, mirroring geoserve's: outcome counters plus the
-	// build/swap latencies of the last successful swap.
-	reloadMu       sync.Mutex
-	reloads        atomic.Int64
-	reloadFailures atomic.Int64
-	lastBuildUS    atomic.Int64
-	lastSwapUS     atomic.Int64
 
 	// Negotiated UDP response-size histogram: per-band observation
 	// counts over ednsBounds (last slot is +Inf) and a byte sum.
@@ -110,43 +95,16 @@ func New(ix *geoloc.Index, cfg Config) *Server {
 	}
 }
 
-// Generation exposes the live index generation (for status lines).
-func (s *Server) Generation() uint64 { return s.live.Generation() }
-
-// Suffixes reports how many convention suffixes the live index serves.
-func (s *Server) Suffixes() int { return s.live.Index().Len() }
+// Live returns the swappable index the server answers from; reload it
+// to serve a new generation.
+func (s *Server) Live() *geoloc.Live { return s.live }
 
 // Stats snapshots the per-query counters accumulated so far.
 func (s *Server) Stats() map[string]int64 { return s.tracer.StageCounters(queryStage) }
 
-// IndexStats snapshots the live index's lookup counters. The counters
-// belong to the current generation: a reload swaps in a fresh index
-// whose counters start at zero.
-func (s *Server) IndexStats() geoloc.Stats { return s.live.Index().Stats() }
-
 // LimiterEvictions reports buckets dropped by capacity sweeps; zero
 // when rate limiting is disabled.
 func (s *Server) LimiterEvictions() uint64 { return s.limiter.evictions() }
-
-// ReloadStats is the reload-lifecycle snapshot the admin plane exports.
-type ReloadStats struct {
-	Generation  uint64
-	Reloads     int64
-	Failures    int64
-	LastBuildUS int64
-	LastSwapUS  int64
-}
-
-// ReloadStats snapshots the reload lifecycle counters.
-func (s *Server) ReloadStats() ReloadStats {
-	return ReloadStats{
-		Generation:  s.live.Generation(),
-		Reloads:     s.reloads.Load(),
-		Failures:    s.reloadFailures.Load(),
-		LastBuildUS: s.lastBuildUS.Load(),
-		LastSwapUS:  s.lastSwapUS.Load(),
-	}
-}
 
 // EDNSSizes snapshots the negotiated UDP response-size histogram:
 // per-band observation counts over bounds (one extra +Inf band at the
@@ -171,40 +129,6 @@ func (s *Server) observeUDPLimit(limit int) {
 	}
 	s.ednsCounts[band].Add(1)
 	s.ednsSum.Add(int64(limit))
-}
-
-// Reload resolves the configured source again, spot-checks the new
-// index against the live one, and swaps it in. Mirrors the geoserve
-// /v1/reload lifecycle: concurrent reloads serialize, in-flight
-// queries keep the generation they started with.
-func (s *Server) Reload() (gen uint64, suffixes int, err error) {
-	if s.cfg.Source == nil {
-		return 0, 0, errNoReloadSource
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	sp := s.tracer.Start("reload")
-	defer sp.End()
-	t0 := time.Now()
-	resolved, err := s.cfg.Source.Resolve(s.cfg.IndexOpts)
-	if err != nil {
-		s.reloadFailures.Add(1)
-		sp.Count("failures", 1)
-		return 0, 0, err
-	}
-	buildUS := int64(time.Since(t0) / time.Microsecond)
-	t1 := time.Now()
-	if err := geoloc.SpotCheck(s.live.Index(), resolved.Index, spotCheckSamples); err != nil {
-		s.reloadFailures.Add(1)
-		sp.Count("failures", 1)
-		return 0, 0, err
-	}
-	_, gen = s.live.Swap(resolved.Index)
-	s.reloads.Add(1)
-	s.lastBuildUS.Store(buildUS)
-	s.lastSwapUS.Store(int64(time.Since(t1) / time.Microsecond))
-	sp.Count("suffixes", int64(resolved.Index.Len()))
-	return gen, resolved.Index.Len(), nil
 }
 
 // HandlePacket answers one DNS message and returns the response frame,

@@ -82,14 +82,14 @@ func TestReloadTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{}), Source: src, IndexOpts: opts})
-	if rs := s.ReloadStats(); rs.Reloads != 0 || rs.Generation != 1 {
+	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{})})
+	if rs := s.Live().ReloadStats(); rs.Reloads != 0 || rs.Generation != 1 {
 		t.Fatalf("boot reload stats = %+v", rs)
 	}
-	if _, _, err := s.Reload(); err != nil {
+	if _, err := s.Live().Reload(src, opts); err != nil {
 		t.Fatal(err)
 	}
-	rs := s.ReloadStats()
+	rs := s.Live().ReloadStats()
 	if rs.Reloads != 1 || rs.Failures != 0 || rs.Generation != 2 {
 		t.Errorf("reload stats = %+v, want 1 reload at generation 2", rs)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"hoiho/internal/core"
-	"hoiho/internal/geodict"
 )
 
 // Resolution names for an ExplainStep that matched.
@@ -104,11 +103,12 @@ type Explanation struct {
 }
 
 // Explain runs the lookup decision procedure for one hostname and
-// records every stage. It mirrors Lookup exactly — same dispatch, same
-// regex order, same first-match-decides rule, same overlay-then-
-// dictionary resolution — but bypasses the result cache and the Stats
-// counters: an explanation is diagnostic traffic, not serving load,
-// and must show the decision even when the answer is memoized.
+// records every stage. It is Lookup's own core.Decide with a step
+// recorder attached — same dispatch, same regex order, same
+// first-match-decides rule, same overlay-then-dictionary resolution —
+// but it bypasses the result cache and the Stats counters: an
+// explanation is diagnostic traffic, not serving load, and must show
+// the decision even when the answer is memoized.
 func (ix *Index) Explain(hostname string) *Explanation {
 	ex := &Explanation{Hostname: hostname, Normalized: normalize(hostname)}
 	ex.Suffix = ix.list.RegistrableDomain(ex.Normalized)
@@ -129,61 +129,51 @@ func (ix *Index) Explain(hostname string) *Explanation {
 		Regexes:     len(nc.Regexes),
 		Learned:     len(nc.Learned),
 	}
-	for _, r := range nc.Regexes {
-		step := ExplainStep{Pattern: r.String(), HintType: r.Hint.String()}
-		ext, ok := r.Match(ex.Normalized)
-		if !ok {
-			ex.Steps = append(ex.Steps, step)
-			continue
-		}
-		step.Matched = true
-		step.Hint, step.State, step.Country = ext.Hint, ext.State, ext.Country
-		if loc, ok := c.learned[hintKey{ext.Type, ext.Hint}]; ok {
-			step.Resolution = ResolutionLearned
-			step.Location = loc.String()
-			// Recover the congruence evidence behind the overlay entry;
-			// first match wins, the order the overlay map was built in.
-			for _, lh := range nc.Learned {
-				if lh.Type == ext.Type && lh.Hint == ext.Hint {
-					step.LearnedTP, step.LearnedFP, step.LearnedCollide = lh.TP, lh.FP, lh.Collide
-					break
-				}
-			}
-			ex.Steps = append(ex.Steps, step)
-			ex.finish(ext.Hint, ext.Type, true, loc)
-			return ex
-		}
-		locs := core.DictionaryLocations(ix.dict, ext)
-		step.Candidates = len(locs)
-		if len(locs) == 0 {
-			step.Resolution = ResolutionUnresolved
-			ex.Steps = append(ex.Steps, step)
-			return ex
-		}
-		loc := core.PickLocation(ix.dict, locs)
-		step.Resolution = ResolutionDictionary
-		step.Location = loc.String()
-		ex.Steps = append(ex.Steps, step)
-		ex.finish(ext.Hint, ext.Type, false, loc)
+	g := core.Decide(nc, ix.dict, ex.Normalized, c.learnedHint, ex.record)
+	if g == nil {
 		return ex
+	}
+	ex.Located = true
+	ex.Hint = g.Hint
+	ex.HintType = g.Type.String()
+	ex.Learned = g.Learned
+	ex.Location = &ExplainLocation{
+		City:       g.Loc.City,
+		Region:     g.Loc.Region,
+		Country:    g.Loc.Country,
+		Lat:        g.Loc.Pos.Lat,
+		Long:       g.Loc.Pos.Long,
+		Population: g.Loc.Population,
 	}
 	return ex
 }
 
-// finish fills the answer fields of a located explanation.
-func (ex *Explanation) finish(hint string, typ geodict.HintType, learned bool, loc *geodict.Location) {
-	ex.Located = true
-	ex.Hint = hint
-	ex.HintType = typ.String()
-	ex.Learned = learned
-	ex.Location = &ExplainLocation{
-		City:       loc.City,
-		Region:     loc.Region,
-		Country:    loc.Country,
-		Lat:        loc.Pos.Lat,
-		Long:       loc.Pos.Long,
-		Population: loc.Population,
+// record appends one decision step to the trace.
+func (ex *Explanation) record(st core.Step) {
+	step := ExplainStep{
+		Pattern:    st.Regex.String(),
+		HintType:   st.Regex.Hint.String(),
+		Matched:    st.Resolution != core.NoMatch,
+		Hint:       st.Ext.Hint,
+		State:      st.Ext.State,
+		Country:    st.Ext.Country,
+		Resolution: resolutionNames[st.Resolution],
+		Candidates: st.Candidates,
 	}
+	if st.Learned != nil {
+		step.LearnedTP, step.LearnedFP, step.LearnedCollide = st.Learned.TP, st.Learned.FP, st.Learned.Collide
+	}
+	if st.Loc != nil {
+		step.Location = st.Loc.String()
+	}
+	ex.Steps = append(ex.Steps, step)
+}
+
+// resolutionNames maps core's resolutions to their Resolution* names.
+var resolutionNames = [...]string{
+	core.ResolvedLearned:    ResolutionLearned,
+	core.ResolvedDictionary: ResolutionDictionary,
+	core.Unresolved:         ResolutionUnresolved,
 }
 
 // Text renders the explanation as a deterministic human-readable

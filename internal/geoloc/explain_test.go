@@ -4,30 +4,26 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"hoiho/internal/core"
 )
 
-// TestExplainMirrorsLookup: for every probe hostname, the explanation's
-// verdict and answer agree exactly with Lookup — Explain is the same
-// decision procedure with the trace recorded, never a second opinion.
+// TestExplainMirrorsLookup: for every agreement hostname, the
+// explanation's verdict and answer agree exactly with Lookup's and
+// core.Geolocate's, whether Lookup's answer is fresh or cached —
+// Explain is the same decision procedure with the trace recorded,
+// never a second opinion.
 func TestExplainMirrorsLookup(t *testing.T) {
-	ix := newTestIndex(t, Options{})
-	for _, host := range probeHosts {
-		g, ok := ix.Lookup(host)
-		ex := ix.Explain(host)
-		if ex.Located != ok {
-			t.Errorf("%s: Explain located=%v, Lookup ok=%v", host, ex.Located, ok)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		if ex.Location.City != g.Loc.City || ex.Location.Region != g.Loc.Region ||
-			ex.Location.Country != g.Loc.Country {
-			t.Errorf("%s: Explain %+v != Lookup %+v", host, ex.Location, g.Loc)
-		}
-		if ex.Hint != g.Hint || ex.HintType != g.Type.String() || ex.Learned != g.Learned ||
-			ex.Suffix != g.Suffix {
-			t.Errorf("%s: Explain answer fields diverge from Lookup", host)
+	for _, c := range agreementCases(t) {
+		for _, host := range c.hosts {
+			ex := explainAnswer(c.ix.Explain(host))
+			fresh, _ := c.ix.Lookup(host)
+			cached, _ := c.ix.Lookup(host)
+			g, _ := core.Geolocate(c.res.NCs[c.ix.Suffix(host)], c.dict, normalize(host))
+			if ex != lookupAnswer(fresh) || ex != lookupAnswer(cached) || ex != lookupAnswer(g) {
+				t.Errorf("%s %q: Explain %+v, Lookup %+v then %+v, Geolocate %+v", c.name, host,
+					ex, lookupAnswer(fresh), lookupAnswer(cached), lookupAnswer(g))
+			}
 		}
 	}
 }

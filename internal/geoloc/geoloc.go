@@ -66,8 +66,13 @@ type hintKey struct {
 // convention is the compiled serving state for one suffix.
 type convention struct {
 	nc      *core.NamingConvention
-	learned map[hintKey]*geodict.Location
+	learned map[hintKey]*core.LearnedHint
 	matches atomic.Uint64
+}
+
+// learnedHint is the convention's overlay lookup, handed to core.Decide.
+func (c *convention) learnedHint(typ geodict.HintType, hint string) *core.LearnedHint {
+	return c.learned[hintKey{typ, hint}]
 }
 
 // Index is a compiled, immutable set of naming conventions ready to
@@ -92,7 +97,7 @@ type Index struct {
 // compiled here — a convention whose pattern does not compile fails the
 // build rather than silently never matching — and learned geohints are
 // flattened into per-convention overlay maps (first entry wins on
-// duplicates, matching Geolocate's scan order).
+// duplicates, matching NamingConvention.LearnedHint's scan order).
 func New(res *core.Result, opts Options) (*Index, error) {
 	if res == nil {
 		return nil, fmt.Errorf("geoloc: nil result")
@@ -119,7 +124,7 @@ func New(res *core.Result, opts Options) (*Index, error) {
 		if nc == nil || (opts.UsableOnly && !nc.Class.Usable()) {
 			continue
 		}
-		c := &convention{nc: nc, learned: make(map[hintKey]*geodict.Location, len(nc.Learned))}
+		c := &convention{nc: nc, learned: make(map[hintKey]*core.LearnedHint, len(nc.Learned))}
 		for _, r := range nc.Regexes {
 			// Prepare builds the specialized rexmatch program (or, for a
 			// regex outside its dialect, compiles the stdlib form) so no
@@ -132,7 +137,7 @@ func New(res *core.Result, opts Options) (*Index, error) {
 		for _, lh := range nc.Learned {
 			k := hintKey{lh.Type, lh.Hint}
 			if _, dup := c.learned[k]; !dup {
-				c.learned[k] = lh.Loc
+				c.learned[k] = lh
 			}
 		}
 		ix.convs[suffix] = c
@@ -246,28 +251,7 @@ func (ix *Index) locate(host string) *core.Geolocation {
 	if c == nil {
 		return nil
 	}
-	for _, r := range c.nc.Regexes {
-		ext, ok := r.Match(host)
-		if !ok {
-			continue
-		}
-		g := &core.Geolocation{
-			Hostname: host, Suffix: c.nc.Suffix, Hint: ext.Hint, Type: ext.Type,
-		}
-		if loc, ok := c.learned[hintKey{ext.Type, ext.Hint}]; ok {
-			g.Loc, g.Learned = loc, true
-			return g
-		}
-		locs := core.DictionaryLocations(ix.dict, ext)
-		if len(locs) == 0 {
-			// Mirror core.Geolocate: the first matching regex decides;
-			// an unresolvable extraction is a miss, not a fall-through.
-			return nil
-		}
-		g.Loc = core.PickLocation(ix.dict, locs)
-		return g
-	}
-	return nil
+	return core.Decide(c.nc, ix.dict, host, c.learnedHint, nil)
 }
 
 // count records a lookup outcome in the index counters.

@@ -9,17 +9,36 @@ package geoloc
 // lookup path and no quiesce window.
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Live is an atomically swappable reference to the serving Index.
-// Index and Swap are safe for concurrent use from any number of
-// goroutines.
+// Live is an atomically swappable reference to the serving Index, and
+// the home of the reload lifecycle both daemons run. Its methods are
+// safe for concurrent use from any number of goroutines.
 type Live struct {
 	ptr atomic.Pointer[Index]
 	gen atomic.Uint64
+
+	// Reload bookkeeping: one reload at a time, outcome counters, and
+	// the build/swap latencies of the last successful reload.
+	reloadMu    sync.Mutex
+	reloads     atomic.Int64
+	failures    atomic.Int64
+	lastBuildUS atomic.Int64
+	lastSwapUS  atomic.Int64
 }
+
+// reloadSpotChecks is how many suffixes a reload validates against the
+// outgoing index before the swap (see SpotCheck).
+const reloadSpotChecks = 16
+
+// ErrNoSource is Reload's error when the daemon was given no source to
+// reload from.
+var ErrNoSource = errors.New("no reloadable source configured")
 
 // NewLive publishes ix as generation 1.
 func NewLive(ix *Index) *Live {
@@ -45,6 +64,83 @@ func (l *Live) Swap(next *Index) (old *Index, gen uint64) {
 // Generation returns the current generation: 1 for the boot index,
 // incremented by every Swap.
 func (l *Live) Generation() uint64 { return l.gen.Load() }
+
+// Reloaded describes one successful Reload. SwapUS covers validation
+// plus the atomic swap — the window in which the replacement exists but
+// is not yet serving; lookups proceed normally throughout.
+type Reloaded struct {
+	Generation uint64
+	Suffixes   int
+	BuildUS    int64
+	SwapUS     int64
+}
+
+// Reload builds a replacement index from src with opts, spot-checks it
+// against the serving one, and swaps it in, recording a "reload" span on
+// opts.Tracer. Concurrent reloads serialize; lookups are never blocked —
+// they keep hitting the old index until the single atomic store, and
+// the old index drains as requests that loaded it finish. A failed
+// build or spot check counts a failure and leaves the serving index in
+// place. A nil src fails with ErrNoSource.
+func (l *Live) Reload(src *Source, opts Options) (Reloaded, error) {
+	if src == nil {
+		return Reloaded{}, ErrNoSource
+	}
+	l.reloadMu.Lock()
+	defer l.reloadMu.Unlock()
+	sp := opts.Tracer.Start("reload")
+	defer sp.End()
+	r, err := l.reload(src, opts)
+	if err != nil {
+		l.failures.Add(1)
+		sp.Count("failures", 1)
+		return Reloaded{}, err
+	}
+	l.reloads.Add(1)
+	l.lastBuildUS.Store(r.BuildUS)
+	l.lastSwapUS.Store(r.SwapUS)
+	sp.Count("suffixes", int64(r.Suffixes))
+	return r, nil
+}
+
+// reload resolves, validates and swaps; the caller holds reloadMu.
+func (l *Live) reload(src *Source, opts Options) (Reloaded, error) {
+	t0 := time.Now()
+	resolved, err := src.Resolve(opts)
+	if err != nil {
+		return Reloaded{}, err
+	}
+	buildUS := int64(time.Since(t0) / time.Microsecond)
+	t1 := time.Now()
+	if err := SpotCheck(l.Index(), resolved.Index, reloadSpotChecks); err != nil {
+		return Reloaded{}, err
+	}
+	_, gen := l.Swap(resolved.Index)
+	return Reloaded{
+		Generation: gen, Suffixes: resolved.Index.Len(),
+		BuildUS: buildUS, SwapUS: int64(time.Since(t1) / time.Microsecond),
+	}, nil
+}
+
+// ReloadStats is a snapshot of the reload lifecycle.
+type ReloadStats struct {
+	Generation  uint64
+	Reloads     int64
+	Failures    int64
+	LastBuildUS int64
+	LastSwapUS  int64
+}
+
+// ReloadStats snapshots the reload counters and the serving generation.
+func (l *Live) ReloadStats() ReloadStats {
+	return ReloadStats{
+		Generation:  l.Generation(),
+		Reloads:     l.reloads.Load(),
+		Failures:    l.failures.Load(),
+		LastBuildUS: l.lastBuildUS.Load(),
+		LastSwapUS:  l.lastSwapUS.Load(),
+	}
+}
 
 // SpotCheck validates a replacement index before it is swapped in: the
 // replacement must be non-nil and non-empty, probe lookups over a

@@ -497,7 +497,9 @@ func TestMatch(t *testing.T) {
 
 // TestLoadModule builds a throwaway two-package module and checks that
 // cross-package type information flows: a map type defined in one
-// package must be recognized by maporder when ranged in another.
+// package must be recognized by maporder when ranged in another. A
+// nested module (its own go.mod) with a finding of its own sits inside
+// the tree; like `go list ./...`, the loader must leave it out.
 func TestLoadModule(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -526,6 +528,17 @@ import (
 
 func Dump(t *table.Table) {
 	for k, v := range t.Rows {
+		fmt.Println(k, v)
+	}
+}
+`)
+	write("nested/go.mod", "module example.test/nested\n\ngo 1.22\n")
+	write("nested/nested.go", `package nested
+
+import "fmt"
+
+func Dump(m map[string]int) {
+	for k, v := range m {
 		fmt.Println(k, v)
 	}
 }

@@ -122,8 +122,9 @@ func modulePath(gomod string) (string, error) {
 }
 
 // packageDirs returns every directory under root that may hold a
-// package, excluding VCS metadata, testdata, and hidden directories.
-// Paths are relative to root and sorted.
+// package, excluding VCS metadata, testdata, hidden directories, and
+// nested modules (a subdirectory with its own go.mod, which `go list
+// ./...` also leaves out). Paths are relative to root and sorted.
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -136,6 +137,11 @@ func packageDirs(root string) ([]string, error) {
 		name := d.Name()
 		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		rel, err := filepath.Rel(root, path)
 		if err != nil {
