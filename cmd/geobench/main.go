@@ -162,8 +162,7 @@ func runSuite(src *geoloc.Source, quick bool, repeats int, runPat, commitFlag st
 		return nil, err
 	}
 	rec := benchrec.NewFile(time.Now().UTC().Format(time.RFC3339), commitID(commitFlag), quick)
-	compiled0, probed0 := rex.CompileCounts()
-	matchers0, fallbacks0 := rex.MatcherCounts()
+	matchers0, declined0 := rex.MatcherCounts()
 	for _, def := range s.defs {
 		if filter != nil && !filter.MatchString(def.name) {
 			continue
@@ -178,13 +177,10 @@ func runSuite(src *geoloc.Source, quick bool, repeats int, runPat, commitFlag st
 	if len(rec.Benchmarks) == 0 {
 		return nil, fmt.Errorf("-run %q selects no benchmarks", runPat)
 	}
-	compiled1, probed1 := rex.CompileCounts()
-	matchers1, fallbacks1 := rex.MatcherCounts()
+	matchers1, declined1 := rex.MatcherCounts()
 	rec.Counters = s.tracedCounters()
-	rec.Counters["rex_regexes_compiled"] = compiled1 - compiled0
-	rec.Counters["rex_probes_compiled"] = probed1 - probed0
 	rec.Counters["rex_matchers_compiled"] = matchers1 - matchers0
-	rec.Counters["rex_matcher_fallbacks"] = fallbacks1 - fallbacks0
+	rec.Counters["rex_matcher_fallbacks"] = declined1 - declined0
 	return rec, nil
 }
 

@@ -129,7 +129,6 @@ func Run(in Inputs, cfg Config) (*Result, error) {
 
 	root := cfg.Tracer.Start("run")
 	root.Count("suffix_groups", int64(len(groups)))
-	compiled0, probed0 := rex.CompileCounts()
 	matchers0, _ := rex.MatcherCounts()
 
 	workers := cfg.Workers
@@ -139,39 +138,27 @@ func Run(in Inputs, cfg Config) (*Result, error) {
 	if workers > len(groups) {
 		workers = len(groups)
 	}
-	if workers <= 1 {
-		tg := &tagger{in: in, cfg: cfg}
-		for i, group := range groups {
-			outcomes[i] = runTracedGroup(tg, cfg, group, root, 1)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(wid int) {
-				defer wg.Done()
-				tg := &tagger{in: in, cfg: cfg}
-				for i := range next {
-					outcomes[i] = runTracedGroup(tg, cfg, groups[i], root, wid)
-				}
-			}(w + 1)
-		}
-		for i := range groups {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(wid int) {
+			defer wg.Done()
+			tg := &tagger{in: in, cfg: cfg}
+			for i := range next {
+				outcomes[i] = runTracedGroup(tg, cfg, groups[i], root, wid)
+			}
+		}(w + 1)
 	}
+	for i := range groups {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 
-	// Candidate regexes build specialized rexmatch programs on the probe
-	// path; the regexes/probes counters keep tracking the (now rare)
-	// stdlib-fallback compiles so the two engine families stay visible
-	// side by side in the bench fingerprint.
-	compiled1, probed1 := rex.CompileCounts()
+	// Each candidate regex builds its rexmatch program once, on first
+	// probe; the delta counts the distinct candidates this run tried.
 	matchers1, _ := rex.MatcherCounts()
-	root.Count("regexes_compiled", compiled1-compiled0)
-	root.Count("probes_compiled", probed1-probed0)
 	root.Count("matchers_compiled", matchers1-matchers0)
 	defer root.End()
 

@@ -197,6 +197,11 @@ func TestFig9Shapes(t *testing.T) {
 	if hoiho.Total() == 0 {
 		t.Fatal("no hostnames evaluated")
 	}
+	// The ablation's hoiho-only scorer must select and score the same
+	// cases as the full comparison.
+	if got := ComputeFig9Hoiho(w, res); got != hoiho {
+		t.Errorf("ComputeFig9Hoiho = %+v, Fig9 hoiho overall = %+v", got, hoiho)
+	}
 	// The paper's ordering: hoiho > hloc > drop on TP%.
 	if hoiho.TPPct() <= dropR.TPPct() {
 		t.Errorf("hoiho TP %.1f%% should beat drop %.1f%%", hoiho.TPPct(), dropR.TPPct())
@@ -224,7 +229,7 @@ func TestFig9Shapes(t *testing.T) {
 
 func TestFig10(t *testing.T) {
 	w, res := sharedWorld(t)
-	f := ComputeFig10(w, res)
+	f := ComputeFig10Multi([]*synth.World{w}, []*core.Result{res})
 	if f.ClosestVPRTT.N == 0 {
 		t.Fatal("no learned hints")
 	}
@@ -243,7 +248,7 @@ func TestFig10(t *testing.T) {
 
 func TestFig11(t *testing.T) {
 	w, res := sharedWorld(t)
-	f := ComputeFig11(w, res)
+	f := ComputeFig11Multi([]*synth.World{w}, []*core.Result{res})
 	if len(f.Buckets) != 4 {
 		t.Fatalf("buckets = %d", len(f.Buckets))
 	}

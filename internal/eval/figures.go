@@ -158,27 +158,24 @@ func undnsPattern(spec *synth.OperatorSpec) (string, func(string) string) {
 	}
 }
 
-// ComputeFig9 evaluates Hoiho (the pipeline result), DRoP, HLOC, and
-// undns over every convention-rendered hostname in the world, using the
-// 40 km criterion against generator ground truth.
-func ComputeFig9(w *synth.World, res *core.Result) Fig9 {
+// fig9Case is one hostname fig. 9 scores, with Hoiho's answer for it.
+type fig9Case struct {
+	host, suffix, router string
+	truth                geo.LatLong
+	hoiho                *geodict.Location // nil when Hoiho gave no answer
+}
+
+// fig9Cases selects the hostnames fig. 9 scores — geohint-bearing
+// hostnames of suffixes with at least Fig9MinHosts of them, on routers
+// with ground truth — sorted by hostname, and geolocates each with the
+// result's convention for its suffix.
+func fig9Cases(w *synth.World, res *core.Result) []fig9Case {
 	hostRouter := hostRouterIndex(w)
-	dropRules := drop.Learn(w.Corpus, w.PSL, w.Dict, w.Matrix)
-	hlocInst := hloc.New(hloc.DefaultConfig(), w.Dict, w.Matrix)
-	undnsRules := BuildUndnsRuleset(w, 0.6, 14)
-
-	f := Fig9{PerSuffix: make(map[string]map[string]MethodResult),
-		Overall: make(map[string]MethodResult)}
-
-	type hostCase struct {
-		host, suffix, router string
-		truth                geo.LatLong
-	}
 	perSuffix := make(map[string]int)
 	for _, suffix := range w.HintHostnames {
 		perSuffix[suffix]++
 	}
-	var cases []hostCase
+	var cases []fig9Case
 	for host, suffix := range w.HintHostnames {
 		if perSuffix[suffix] < Fig9MinHosts {
 			continue
@@ -191,46 +188,63 @@ func ComputeFig9(w *synth.World, res *core.Result) Fig9 {
 		if truth == nil {
 			continue
 		}
-		cases = append(cases, hostCase{host, suffix, rid, truth.Pos})
+		c := fig9Case{host: host, suffix: suffix, router: rid, truth: truth.Pos}
+		if nc := usableNC(res, suffix); nc != nil {
+			if g, ok := core.Geolocate(nc, w.Dict, host); ok {
+				c.hoiho = g.Loc
+			}
+		}
+		cases = append(cases, c)
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].host < cases[j].host })
+	return cases
+}
 
-	score := func(suffix, method string, loc *geodict.Location, answered bool, truth geo.LatLong) {
-		m := f.PerSuffix[suffix]
+// score counts one answer against the truth under the 40 km criterion;
+// a nil loc is no answer.
+func (m *MethodResult) score(loc *geodict.Location, truth geo.LatLong) {
+	switch {
+	case loc == nil:
+		m.FN++
+	case Within(loc.Pos, truth):
+		m.TP++
+	default:
+		m.FP++
+	}
+}
+
+// ComputeFig9 evaluates Hoiho (the pipeline result), DRoP, HLOC, and
+// undns over every convention-rendered hostname in the world, using the
+// 40 km criterion against generator ground truth.
+func ComputeFig9(w *synth.World, res *core.Result) Fig9 {
+	dropRules := drop.Learn(w.Corpus, w.PSL, w.Dict, w.Matrix)
+	hlocInst := hloc.New(hloc.DefaultConfig(), w.Dict, w.Matrix)
+	undnsRules := BuildUndnsRuleset(w, 0.6, 14)
+
+	f := Fig9{PerSuffix: make(map[string]map[string]MethodResult),
+		Overall: make(map[string]MethodResult)}
+
+	// Every method returns a nil location exactly when it gives no
+	// answer, so the location alone is scored.
+	score := func(c fig9Case, method string, loc *geodict.Location) {
+		m := f.PerSuffix[c.suffix]
 		if m == nil {
 			m = make(map[string]MethodResult)
-			f.PerSuffix[suffix] = m
+			f.PerSuffix[c.suffix] = m
 		}
 		r := m[method]
-		switch {
-		case !answered:
-			r.FN++
-		case Within(loc.Pos, truth):
-			r.TP++
-		default:
-			r.FP++
-		}
+		r.score(loc, c.truth)
 		m[method] = r
 	}
 
-	for _, c := range cases {
-		// Hoiho: the learned NC for the suffix.
-		if nc := usableNC(res, c.suffix); nc != nil {
-			g, ok := core.Geolocate(nc, w.Dict, c.host)
-			var loc *geodict.Location
-			if ok {
-				loc = g.Loc
-			}
-			score(c.suffix, "hoiho", loc, ok, c.truth)
-		} else {
-			score(c.suffix, "hoiho", nil, false, c.truth)
-		}
-		loc, ok := dropRules.Geolocate(c.host, c.suffix, w.Dict)
-		score(c.suffix, "drop", loc, ok, c.truth)
-		loc, ok = hlocInst.Geolocate(c.router, c.host, c.suffix)
-		score(c.suffix, "hloc", loc, ok, c.truth)
-		loc, ok = undnsRules.Geolocate(c.host, c.suffix)
-		score(c.suffix, "undns", loc, ok, c.truth)
+	for _, c := range fig9Cases(w, res) {
+		score(c, "hoiho", c.hoiho)
+		loc, _ := dropRules.Geolocate(c.host, c.suffix, w.Dict)
+		score(c, "drop", loc)
+		loc, _ = hlocInst.Geolocate(c.router, c.host, c.suffix)
+		score(c, "hloc", loc)
+		loc, _ = undnsRules.Geolocate(c.host, c.suffix)
+		score(c, "undns", loc)
 	}
 
 	for suffix, m := range f.PerSuffix {
@@ -281,23 +295,6 @@ type Fig10 struct {
 	AirportKm    CDF // km, for hints colliding with an IATA code
 }
 
-// ComputeFig10 evaluates the learned hints of a result.
-func ComputeFig10(w *synth.World, res *core.Result) Fig10 {
-	var rtts, kms []float64
-	//lint:ignore maporder order-insensitive: makeCDF sorts the pooled samples before use
-	for _, nc := range res.NCs {
-		for _, lh := range nc.Learned {
-			rtts = append(rtts, closestVPRTTms(w, lh.Loc.Pos))
-			if lh.Type == geodict.HintIATA {
-				for _, a := range w.Dict.IATA(lh.Hint) {
-					kms = append(kms, geo.DistanceKm(a.Loc.Pos, lh.Loc.Pos))
-				}
-			}
-		}
-	}
-	return Fig10{ClosestVPRTT: makeCDF(rtts), AirportKm: makeCDF(kms)}
-}
-
 // Format renders the figure's series.
 func (f Fig10) Format() string {
 	var b strings.Builder
@@ -324,40 +321,6 @@ func (b Fig11Bucket) Frac() float64 {
 // Fig11 relates learned-hint correctness to VP proximity (paper fig. 11:
 // <=7ms 90% correct, <=11ms 84%, <=16ms 80%).
 type Fig11 struct{ Buckets []Fig11Bucket }
-
-// ComputeFig11 validates learned hints against generator truth, bucketed
-// by the closest-VP RTT.
-func ComputeFig11(w *synth.World, res *core.Result) Fig11 {
-	type sample struct {
-		rtt     float64
-		correct bool
-	}
-	var samples []sample
-	//lint:ignore maporder order-insensitive: samples are only counted into RTT buckets, never emitted in slice order
-	for suffix, nc := range res.NCs {
-		truth := w.TruthHints[suffix]
-		for _, lh := range nc.Learned {
-			want, ok := truth[lh.Hint]
-			correct := ok && Within(lh.Loc.Pos, want.Pos)
-			samples = append(samples, sample{closestVPRTTms(w, lh.Loc.Pos), correct})
-		}
-	}
-	var f Fig11
-	for _, max := range []float64{7, 11, 16, 1e9} {
-		var b Fig11Bucket
-		b.MaxRTTms = max
-		for _, s := range samples {
-			if s.rtt <= max {
-				b.Total++
-				if s.correct {
-					b.Correct++
-				}
-			}
-		}
-		f.Buckets = append(f.Buckets, b)
-	}
-	return f
-}
 
 // Format renders the buckets.
 func (f Fig11) Format() string {
@@ -390,38 +353,9 @@ func ComputeAblation(w *synth.World, withRes, withoutRes *core.Result) Ablation 
 // ComputeFig9Hoiho scores only the hoiho method over the world (used by
 // the ablation to avoid re-running the baselines).
 func ComputeFig9Hoiho(w *synth.World, res *core.Result) MethodResult {
-	hostRouter := hostRouterIndex(w)
-	perSuffix := make(map[string]int)
-	for _, suffix := range w.HintHostnames {
-		perSuffix[suffix]++
-	}
 	var out MethodResult
-	for host, suffix := range w.HintHostnames {
-		if perSuffix[suffix] < Fig9MinHosts {
-			continue
-		}
-		rid, ok := hostRouter[host]
-		if !ok {
-			continue
-		}
-		truth := w.TruthRouter[rid]
-		if truth == nil {
-			continue
-		}
-		nc := usableNC(res, suffix)
-		if nc == nil {
-			out.FN++
-			continue
-		}
-		g, ok := core.Geolocate(nc, w.Dict, host)
-		switch {
-		case !ok:
-			out.FN++
-		case Within(g.Loc.Pos, truth.Pos):
-			out.TP++
-		default:
-			out.FP++
-		}
+	for _, c := range fig9Cases(w, res) {
+		out.score(c.hoiho, c.truth)
 	}
 	return out
 }
@@ -451,7 +385,7 @@ func ComputeTable5Multi(results []*core.Result, dict *geodict.Dictionary, minSuf
 // ComputeFig10Multi pools learned-hint properties across worlds. The
 // NCs map iteration order does not matter here: makeCDF sorts its
 // samples, so the pooled CDFs are order-insensitive (the same holds for
-// ComputeFig10, ComputeFig11, and the bucket counting below).
+// the bucket counting of ComputeFig11Multi).
 func ComputeFig10Multi(worlds []*synth.World, results []*core.Result) Fig10 {
 	var rtts, kms []float64
 	for i, w := range worlds {

@@ -117,7 +117,6 @@ func New(res *core.Result, opts Options) (*Index, error) {
 		}
 	}
 	sp := opts.Tracer.Start("geoloc-compile")
-	compiled0, _ := rex.CompileCounts()
 	matchers0, _ := rex.MatcherCounts()
 	ix := &Index{dict: dict, list: list, convs: make(map[string]*convention, len(res.NCs)), tracer: opts.Tracer}
 	for suffix, nc := range res.NCs {
@@ -126,10 +125,9 @@ func New(res *core.Result, opts Options) (*Index, error) {
 		}
 		c := &convention{nc: nc, learned: make(map[hintKey]*core.LearnedHint, len(nc.Learned))}
 		for _, r := range nc.Regexes {
-			// Prepare builds the specialized rexmatch program (or, for a
-			// regex outside its dialect, compiles the stdlib form) so no
-			// Lookup ever pays compile cost — and a convention whose
-			// pattern is invalid still fails the build here.
+			// Prepare builds the rexmatch program so no Lookup ever
+			// pays compile cost — and a convention whose pattern is
+			// invalid fails the build here.
 			if err := r.Prepare(); err != nil {
 				return nil, fmt.Errorf("geoloc: suffix %s: %w", suffix, err)
 			}
@@ -149,10 +147,8 @@ func New(res *core.Result, opts Options) (*Index, error) {
 	if size > 0 {
 		ix.cache = newCache(size)
 	}
-	compiled1, _ := rex.CompileCounts()
 	matchers1, _ := rex.MatcherCounts()
 	sp.Count("conventions", int64(len(ix.convs)))
-	sp.Count("regexes_compiled", compiled1-compiled0)
 	sp.Count("matchers_compiled", matchers1-matchers0)
 	sp.End()
 	return ix, nil

@@ -163,9 +163,9 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 	if err != nil {
 		return nil, ErrSnapshotTruncated
 	}
-	metaBytes := make([]byte, metaLen)
-	if _, err := io.ReadFull(cr, metaBytes); err != nil {
-		return nil, ErrSnapshotTruncated
+	metaBytes, err := readField(cr, metaLen)
+	if err != nil {
+		return nil, err
 	}
 	var meta snapshotMeta
 	if err := json.Unmarshal(metaBytes, &meta); err != nil {
@@ -176,8 +176,10 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 		return nil, ErrSnapshotTruncated
 	}
 
-	payloads := make([][]byte, nShards)
-	for i := range payloads {
+	// Sections are appended as they arrive rather than preallocated
+	// from nShards, which the file could overstate.
+	var payloads [][]byte
+	for i := uint32(0); i < nShards; i++ {
 		payloadLen, err := readU32(cr)
 		if err != nil {
 			return nil, ErrSnapshotTruncated
@@ -186,14 +188,14 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 		if err != nil {
 			return nil, ErrSnapshotTruncated
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(cr, payload); err != nil {
-			return nil, ErrSnapshotTruncated
+		payload, err := readField(cr, payloadLen)
+		if err != nil {
+			return nil, err
 		}
 		if crc32.ChecksumIEEE(payload) != wantCRC {
 			return nil, fmt.Errorf("%w: section %d", ErrSnapshotChecksum, i)
 		}
-		payloads[i] = payload
+		payloads = append(payloads, payload)
 	}
 	bodyCRC := cr.crc
 	trailer, err := readU32(r)
@@ -289,6 +291,17 @@ func writeU32(w *bytes.Buffer, v uint32) {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], v)
 	w.Write(buf[:])
+}
+
+// readField reads an n-byte field. The buffer grows only as bytes
+// arrive, so a length prefix that overstates the input costs no more
+// memory than the input holds; a short read is ErrSnapshotTruncated.
+func readField(r io.Reader, n uint32) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil || int64(len(b)) != int64(n) {
+		return nil, ErrSnapshotTruncated
+	}
+	return b, nil
 }
 
 func readU32(r io.Reader) (uint32, error) {

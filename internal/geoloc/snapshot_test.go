@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hoiho/internal/core"
@@ -132,11 +134,21 @@ func TestSnapshotGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotCorruption(t *testing.T) {
-	res, _, _ := learnFixture(t)
+// corruptSnapshot is a damaged snapshot and the typed error reading it
+// must return.
+type corruptSnapshot struct {
+	name string
+	data []byte
+	want error
+}
+
+// snapshotCorruptions damages a Save of the learned fixture in every way
+// TestSnapshotCorruption checks; FuzzSnapshot seeds from the same set.
+func snapshotCorruptions(tb testing.TB) []corruptSnapshot {
+	res, _, _ := learnFixture(tb)
 	var buf bytes.Buffer
 	if err := Save(&buf, res, nil); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	good := buf.Bytes()
 
@@ -148,11 +160,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	versioned := append([]byte(nil), good...)
 	versioned[8] = 99 // version field, little-endian low byte
 
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
+	return []corruptSnapshot{
 		{"empty file", nil, ErrSnapshotEmpty},
 		{"cut mid-magic", good[:5], ErrSnapshotTruncated},
 		{"cut after magic", good[:8], ErrSnapshotTruncated},
@@ -161,10 +169,13 @@ func TestSnapshotCorruption(t *testing.T) {
 		{"short trailer", good[:len(good)-2], ErrSnapshotTruncated},
 		{"foreign file", []byte("#conventions v1: not a snapshot\n"), ErrSnapshotMagic},
 		{"wrong version", versioned, ErrSnapshotVersion},
-		{"flipped payload byte", flip(payloadByte(t, good)), ErrSnapshotChecksum},
+		{"flipped payload byte", flip(payloadByte(tb, good)), ErrSnapshotChecksum},
 		{"flipped trailer byte", flip(len(good) - 1), ErrSnapshotChecksum},
 	}
-	for _, tc := range cases {
+}
+
+func TestSnapshotCorruption(t *testing.T) {
+	for _, tc := range snapshotCorruptions(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Any panic here fails the test; corruption must always
 			// surface as the matching typed error.
@@ -179,9 +190,97 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotLyingLengths feeds headers whose length fields claim far
+// more data than the input holds. Decoding must fail as truncated
+// without allocating what the header claims: memory is bounded by the
+// bytes actually present, not by a 32-bit field an attacker controls.
+func TestSnapshotLyingLengths(t *testing.T) {
+	le := binary.LittleEndian
+	header := func(meta []byte, metaLen uint32) []byte {
+		b := append([]byte(nil), snapshotMagic[:]...)
+		b = le.AppendUint32(b, SnapshotVersion)
+		b = le.AppendUint32(b, metaLen)
+		return append(b, meta...)
+	}
+	meta := []byte(`{"conventions":0,"shards":1}`)
+	withMeta := header(meta, uint32(len(meta)))
+
+	bigPayload := le.AppendUint32(append([]byte(nil), withMeta...), 1) // one section
+	bigPayload = le.AppendUint32(bigPayload, 256<<20)                  // payloadLen
+	bigPayload = le.AppendUint32(bigPayload, 0)                        // payloadCRC
+	bigPayload = append(bigPayload, "suffix "...)
+
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"256 MiB metadata", header([]byte("{}"), 256<<20)},
+		{"256 MiB payload", bigPayload},
+		{"2^24 sections", le.AppendUint32(append([]byte(nil), withMeta...), 1<<24)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadSnapshot(bytes.NewReader(tc.data), nil)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrSnapshotTruncated) {
+				t.Fatalf("got %v, want errors.Is(err, %v)", err, ErrSnapshotTruncated)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Fatalf("decoding a %d-byte input allocated %d bytes", len(tc.data), d)
+			}
+		})
+	}
+}
+
+// FuzzSnapshot feeds arbitrary bytes to ReadSnapshot: it must never
+// panic, and anything it accepts must survive Save -> ReadSnapshot ->
+// Save with identical bytes. Seeds are a Save of the golden conventions
+// and every TestSnapshotCorruption input.
+func FuzzSnapshot(f *testing.F) {
+	golden, err := os.Open(filepath.Join("..", "..", "testdata", "golden", "conventions.txt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := core.ReadConventions(golden)
+	golden.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, res, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, tc := range snapshotCorruptions(f) {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := ReadSnapshot(bytes.NewReader(data), nil)
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := Save(&first, res, nil); err != nil {
+			t.Fatalf("accepted snapshot does not save: %v", err)
+		}
+		again, err := ReadSnapshot(bytes.NewReader(first.Bytes()), nil)
+		if err != nil {
+			t.Fatalf("re-saved snapshot does not decode: %v", err)
+		}
+		if err := Save(&second, again, nil); err != nil {
+			t.Fatalf("re-decoded snapshot does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Save is not stable across a round trip: %d vs %d bytes", first.Len(), second.Len())
+		}
+	})
+}
+
 // payloadByte locates the first byte inside a non-empty section payload,
 // so the flipped-byte case corrupts conventions text rather than framing.
-func payloadByte(t *testing.T, snap []byte) int {
+func payloadByte(t testing.TB, snap []byte) int {
 	t.Helper()
 	le := binary.LittleEndian
 	off := 8 + 4 // magic + version

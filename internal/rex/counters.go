@@ -2,34 +2,19 @@ package rex
 
 import "sync/atomic"
 
-// Package-wide compile counters. Regex caches its compiled forms behind
+// Package-wide matcher counters. Regex builds its matcher behind
 // sync.Once, so each counter increments at most once per Regex value —
-// the counts measure real regexp.Compile work, not Match calls. The
-// observability layer reads these as deltas around a pipeline run;
+// the counts measure distinct regexes prepared, not Match calls. The
+// observability layer reads them as deltas around a pipeline run;
 // being process-global, deltas overlap when runs execute concurrently.
 var (
-	compiledTotal    atomic.Int64
-	probedTotal      atomic.Int64
 	matchersBuilt    atomic.Int64
-	matcherFallbacks atomic.Int64
+	matchersDeclined atomic.Int64
 )
 
-// CompileCounts returns how many match regexes and probe regexes have
-// been compiled process-wide since start. From the rexmatch
-// integration on, these count only the stdlib-fallback path; the
-// specialized engine's builds are reported separately by
-// MatcherCounts, so the two families remain comparable across bench
-// records.
-func CompileCounts() (compiled, probed int64) {
-	return compiledTotal.Load(), probedTotal.Load()
-}
-
-// MatcherCounts returns how many specialized rexmatch programs have
-// been built process-wide, and how many regexes declined
-// specialization and will use the stdlib engine instead. Like
-// CompileCounts, each Regex value contributes at most once (the build
-// sits behind sync.Once), so the counts measure distinct candidate
-// regexes prepared, not Match calls.
-func MatcherCounts() (specialized, fallback int64) {
-	return matchersBuilt.Load(), matcherFallbacks.Load()
+// MatcherCounts returns how many rexmatch programs have been built
+// process-wide, and how many regexes rexmatch declined (they match
+// nothing, and Prepare reports them as invalid).
+func MatcherCounts() (specialized, declined int64) {
+	return matchersBuilt.Load(), matchersDeclined.Load()
 }

@@ -10,7 +10,7 @@ import (
 
 // FuzzParsePattern feeds arbitrary patterns to the published-format
 // parser: it must never panic, and anything it accepts must round-trip
-// through String() and compile.
+// through String(), compile in the stdlib oracle, and get a matcher.
 func FuzzParsePattern(f *testing.F) {
 	f.Add(`^.+\.([a-z]{3})\d+\.alter\.net$`)
 	f.Add(`^[^\.]+\.([a-z]+)\d*\.([a-z]{2})\.alter\.net$`)
@@ -28,8 +28,11 @@ func FuzzParsePattern(f *testing.F) {
 		if r.String() != pattern {
 			t.Fatalf("accepted pattern does not round-trip: %q -> %q", pattern, r.String())
 		}
-		if _, err := r.Compile(); err != nil {
+		if _, err := regexp.Compile(r.String()); err != nil {
 			t.Fatalf("accepted pattern does not compile: %q: %v", pattern, err)
+		}
+		if err := r.Prepare(); err != nil {
+			t.Fatalf("accepted pattern has no matcher: %q: %v", pattern, err)
 		}
 	})
 }
@@ -43,7 +46,8 @@ var fuzzLiterals = []string{"a", "ge", "xe0", "alter", "_", ".", "+", "net"}
 // FuzzParsePattern drives from the string side: arbitrary bytes are
 // decoded into a component sequence, and every sequence that passes
 // Validate must render to a pattern that reparses (with the same
-// roles), re-renders byte-identically, and compiles.
+// roles), re-renders byte-identically, compiles in the stdlib oracle,
+// and gets a matcher.
 func FuzzRegexRender(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x06, 0x03})                         // ([a-z]{N}) hint capture
@@ -66,8 +70,11 @@ func FuzzRegexRender(f *testing.F) {
 		if len(parsed.Roles()) != len(r.Roles()) {
 			t.Fatalf("round trip changed capture count: %q", pattern)
 		}
-		if _, err := r.Compile(); err != nil {
+		if _, err := regexp.Compile(pattern); err != nil {
 			t.Fatalf("valid regex %q does not compile: %v", pattern, err)
+		}
+		if err := r.Prepare(); err != nil {
+			t.Fatalf("valid regex %q has no matcher: %v", pattern, err)
 		}
 	})
 }
@@ -146,9 +153,9 @@ func FuzzRexmatchVsStdlib(f *testing.F) {
 		}
 		prog, err := rexmatch.Compile(matcherSpecs(r.Comps))
 		if err != nil {
-			// Out of dialect: the production path falls back to stdlib,
-			// so there is no specialized behaviour to compare.
-			return
+			// rexmatch is the only engine: a valid regex it declines
+			// would match nothing in production.
+			t.Fatalf("rexmatch declined valid regex %q: %v", r.String(), err)
 		}
 		std, err := regexp.Compile(r.String())
 		if err != nil {

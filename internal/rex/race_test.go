@@ -6,7 +6,7 @@ import (
 )
 
 // TestRegexConcurrentCaches hammers one shared *Regex from many
-// goroutines. The render, compile, and probe caches populate lazily, so
+// goroutines. The render and matcher caches populate lazily, so
 // this locks in their sync.Once guards — a published NamingConvention's
 // regexes are shared by concurrent Geolocate callers, and the parallel
 // pipeline evaluates shared candidates the same way. Run with -race.
@@ -26,7 +26,7 @@ func TestRegexConcurrentCaches(t *testing.T) {
 					if r.String() == "" {
 						t.Error("empty rendering")
 					}
-					if _, err := r.Compile(); err != nil {
+					if err := r.Prepare(); err != nil {
 						t.Error(err)
 					}
 					if _, ok := r.Match(hosts[ri]); !ok {
@@ -42,11 +42,11 @@ func TestRegexConcurrentCaches(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRegexConcurrentCompileError checks that a compile failure is also
-// cached race-free and returned consistently to every caller.
+// TestRegexConcurrentCompileError checks that a matcher build failure
+// is also cached race-free and returned consistently to every caller.
 func TestRegexConcurrentCompileError(t *testing.T) {
-	// A fixed-count component beyond regexp's 1000-repeat limit renders
-	// `[a-z]{100000}`, which regexp.Compile rejects.
+	// A fixed-count component beyond the 1000-repeat limit renders
+	// `[a-z]{100000}`, which rexmatch (like regexp.Compile) rejects.
 	r := New(0, Component{Kind: KindAlphaFixed, N: 100000, Capture: true, Role: RoleHint})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -54,8 +54,8 @@ func TestRegexConcurrentCompileError(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if _, err := r.Compile(); err == nil {
-					t.Error("invalid pattern compiled")
+				if err := r.Prepare(); err == nil {
+					t.Error("invalid pattern prepared")
 				}
 				if _, ok := r.Match("x"); ok {
 					t.Error("invalid pattern matched")

@@ -72,6 +72,10 @@ func (r Role) String() string {
 	return fmt.Sprintf("role(%d)", uint8(r))
 }
 
+// maxFixedRepeat bounds N in [a-z]{N}: DNS labels are at most 63
+// bytes, so a longer fixed run cannot occur in a hostname.
+const maxFixedRepeat = 63
+
 // Component is one element of a regex.
 type Component struct {
 	Kind    Kind
@@ -122,11 +126,13 @@ func (c Component) equal(o Component) bool { return c == o }
 // components ending in the suffix literal, plus the plan for decoding
 // the captures.
 //
-// The render/compile caches are guarded by sync.Once, so a shared
+// Matching runs on the rexmatch engine alone; the stdlib regexp
+// engine only renders (QuoteMeta) and serves tests as the oracle. The
+// render and matcher caches are guarded by sync.Once, so a shared
 // *Regex — e.g. one inside a published NamingConvention applied by
 // concurrent Geolocate callers, or candidates evaluated by the parallel
 // pipeline — is safe for concurrent use. Comps must not be mutated
-// after the first String, Compile, Match, or ComponentMatches call;
+// after the first String, Prepare, Match, or ComponentMatches call;
 // Clone returns a mutable copy with cold caches.
 type Regex struct {
 	Comps []Component
@@ -134,14 +140,9 @@ type Regex struct {
 
 	renderOnce  sync.Once
 	rendering   string
-	compileOnce sync.Once
-	compiled    *regexp.Regexp
-	compileErr  error
-	probeOnce   sync.Once
-	probe       *regexp.Regexp // every component captured, for specialization
-	probeErr    error
 	matcherOnce sync.Once
-	matcher     *rexmatch.Prog // specialized engine; nil when declined
+	matcher     *rexmatch.Prog // nil when rexmatch declined the sequence
+	matcherErr  error
 }
 
 // New assembles a regex from components. The component list should
@@ -158,11 +159,14 @@ func (r *Regex) Clone() *Regex {
 }
 
 // Validate checks structural invariants: at most one KindAny component,
-// at most one RoleHint capture, captures only on capturable kinds, and a
-// decodable capture plan.
+// at most one RoleHint capture, captures only on capturable kinds, a
+// decodable capture plan, and [a-z]{N} repeats within 1..63.
 func (r *Regex) Validate() error {
 	anies, hints := 0, 0
 	for _, c := range r.Comps {
+		if c.Kind == KindAlphaFixed && (c.N < 1 || c.N > maxFixedRepeat) {
+			return fmt.Errorf("rex: repeat count %d outside [1,%d]", c.N, maxFixedRepeat)
+		}
 		if c.Kind == KindAny {
 			anies++
 			if c.Capture {
@@ -232,24 +236,9 @@ func (r *Regex) String() string {
 	return r.rendering
 }
 
-// Compile returns the compiled regex, caching the result.
-func (r *Regex) Compile() (*regexp.Regexp, error) {
-	r.compileOnce.Do(func() {
-		compiledTotal.Add(1)
-		re, err := regexp.Compile(r.String())
-		if err != nil {
-			r.compileErr = fmt.Errorf("rex: compile %q: %w", r.String(), err)
-			return
-		}
-		r.compiled = re
-	})
-	return r.compiled, r.compileErr
-}
-
 // matcherSpecs translates the component AST into the rexmatch dialect.
 // Every component kind has a direct translation; an unknown kind maps
-// to an op rexmatch.Compile rejects, which routes the regex to the
-// stdlib fallback.
+// to an op rexmatch.Compile rejects.
 func matcherSpecs(comps []Component) []rexmatch.Spec {
 	specs := make([]rexmatch.Spec, len(comps))
 	for i, c := range comps {
@@ -285,22 +274,22 @@ func matcherSpecs(comps []Component) []rexmatch.Spec {
 	return specs
 }
 
-// matcherProg returns the specialized one-pass matcher for the
-// component sequence, built on first use, or nil when the sequence is
-// outside the rexmatch dialect (the caller then uses the stdlib
-// engine). One program serves both Match and ComponentMatches — it
+// matcherProg returns the one-pass matcher for the component
+// sequence, built on first use, or nil with the reason rexmatch
+// declined it. One program serves both Match and ComponentMatches — it
 // records the span of every component, captured or not.
-func (r *Regex) matcherProg() *rexmatch.Prog {
+func (r *Regex) matcherProg() (*rexmatch.Prog, error) {
 	r.matcherOnce.Do(func() {
 		p, err := rexmatch.Compile(matcherSpecs(r.Comps))
 		if err != nil {
-			matcherFallbacks.Add(1)
+			matchersDeclined.Add(1)
+			r.matcherErr = fmt.Errorf("rex: %q: %w", r.String(), err)
 			return
 		}
 		matchersBuilt.Add(1)
 		r.matcher = p
 	})
-	return r.matcher
+	return r.matcher, r.matcherErr
 }
 
 // resultPool recycles rexmatch scratch state across Match and
@@ -308,16 +297,12 @@ func (r *Regex) matcherProg() *rexmatch.Prog {
 // nothing.
 var resultPool = sync.Pool{New: func() any { return new(rexmatch.Result) }}
 
-// Prepare readies the regex for matching without running it: it builds
-// the specialized matcher, falling back to compiling the stdlib form
-// when the component sequence is outside the rexmatch dialect. The
-// returned error is the stdlib compile error of an invalid pattern —
-// the check index builds rely on.
+// Prepare readies the regex for matching without running it by
+// building its matcher. The returned error reports a component
+// sequence rexmatch declined — an invalid pattern, which index builds
+// rely on to reject a convention.
 func (r *Regex) Prepare() error {
-	if r.matcherProg() != nil {
-		return nil
-	}
-	_, err := r.Compile()
+	_, err := r.matcherProg()
 	return err
 }
 
@@ -330,54 +315,22 @@ type Extraction struct {
 }
 
 // Match applies the regex to a full hostname and decodes the captures
-// into an Extraction. ok is false when the hostname does not match.
-// The candidate-probe hot path: the specialized rexmatch engine runs
-// the match allocation-free; regexes outside its dialect fall back to
-// the stdlib engine with identical semantics.
+// into an Extraction. ok is false when the hostname does not match, or
+// when the regex has no matcher (see Prepare). The candidate-probe hot
+// path: the match runs allocation-free.
 func (r *Regex) Match(hostname string) (Extraction, bool) {
-	if p := r.matcherProg(); p != nil {
-		res := resultPool.Get().(*rexmatch.Result)
-		ok := p.Run(hostname, res)
-		var ext Extraction
-		if ok {
-			ext = r.decodeParts(res)
-		}
-		resultPool.Put(res)
-		return ext, ok
-	}
-	re, err := r.Compile()
+	p, err := r.matcherProg()
 	if err != nil {
 		return Extraction{}, false
 	}
-	m := re.FindStringSubmatch(hostname)
-	if m == nil {
-		return Extraction{}, false
+	res := resultPool.Get().(*rexmatch.Result)
+	ok := p.Run(hostname, res)
+	var ext Extraction
+	if ok {
+		ext = r.decodeParts(res)
 	}
-	ext := Extraction{Type: r.Hint}
-	var clli4, clli2 string
-	i := 0
-	for _, c := range r.Comps {
-		if !c.Capture {
-			continue
-		}
-		i++
-		switch c.Role {
-		case RoleHint:
-			ext.Hint = m[i]
-		case RoleCLLI4:
-			clli4 = m[i]
-		case RoleCLLI2:
-			clli2 = m[i]
-		case RoleState:
-			ext.State = m[i]
-		case RoleCountry:
-			ext.Country = m[i]
-		}
-	}
-	if clli4 != "" && clli2 != "" {
-		ext.Hint = clli4 + clli2
-	}
-	return ext, true
+	resultPool.Put(res)
+	return ext, ok
 }
 
 // decodeParts maps a successful rexmatch run onto an Extraction; part
@@ -409,56 +362,23 @@ func (r *Regex) decodeParts(res *rexmatch.Result) Extraction {
 	return ext
 }
 
-// probeRegexp renders a variant where every component is captured, used
-// to recover which substring each component matched (phase 3).
-func (r *Regex) probeRegexp() (*regexp.Regexp, error) {
-	r.probeOnce.Do(func() {
-		var b strings.Builder
-		b.WriteByte('^')
-		for _, c := range r.Comps {
-			pc := c
-			pc.Capture = true
-			// render adds parens for Capture; for components that were
-			// already captures this just re-wraps identically.
-			pc.render(&b)
-		}
-		b.WriteByte('$')
-		probedTotal.Add(1)
-		re, err := regexp.Compile(b.String())
-		if err != nil {
-			r.probeErr = fmt.Errorf("rex: compile probe %q: %w", b.String(), err)
-			return
-		}
-		r.probe = re
-	})
-	return r.probe, r.probeErr
-}
-
 // ComponentMatches returns the substring each component matched against
-// the hostname, or ok=false if the hostname does not match. The
-// specialized matcher already tracks every component's span, so the
-// probe path shares the Match program; only out-of-dialect regexes
-// compile the all-captures probe variant.
+// the hostname, or ok=false if the hostname does not match (or the
+// regex has no matcher). The matcher tracks every component's span, so
+// this shares the Match program.
 func (r *Regex) ComponentMatches(hostname string) ([]string, bool) {
-	if p := r.matcherProg(); p != nil {
-		res := resultPool.Get().(*rexmatch.Result)
-		var parts []string
-		ok := p.Run(hostname, res)
-		if ok {
-			parts = res.Parts(make([]string, 0, len(r.Comps)))
-		}
-		resultPool.Put(res)
-		return parts, ok
-	}
-	re, err := r.probeRegexp()
+	p, err := r.matcherProg()
 	if err != nil {
 		return nil, false
 	}
-	m := re.FindStringSubmatch(hostname)
-	if m == nil {
-		return nil, false
+	res := resultPool.Get().(*rexmatch.Result)
+	var parts []string
+	ok := p.Run(hostname, res)
+	if ok {
+		parts = res.Parts(make([]string, 0, len(r.Comps)))
 	}
-	return m[1:], true
+	resultPool.Put(res)
+	return parts, ok
 }
 
 // Equal reports whether two regexes render identically and share a hint

@@ -144,6 +144,13 @@ func TestValidate(t *testing.T) {
 	if err := bad6.Validate(); err == nil {
 		t.Error("mixed hint and split CLLI should be invalid")
 	}
+	// [a-z]{N} outside 1..63 (the ParsePattern bound): invalid.
+	for _, n := range []int{0, 64} {
+		r := New(geodict.HintIATA, Component{Kind: KindAlphaFixed, N: n, Capture: true, Role: RoleHint})
+		if err := r.Validate(); err == nil {
+			t.Errorf("[a-z]{%d} should be invalid", n)
+		}
+	}
 	// Valid one passes.
 	if err := alterCity().Validate(); err != nil {
 		t.Errorf("valid regex rejected: %v", err)

@@ -35,10 +35,11 @@
 //
 // Compile declines — returns an error rather than a wrong program —
 // any spec sequence outside the dialect (unknown ops, repeat counts
-// past the stdlib's {1000} limit); callers fall back to the stdlib
-// engine for those. Scratch state (span arrays and the visited bitset)
-// lives in a caller-held Result that is reused across calls, so a
-// steady-state match allocates nothing.
+// past the stdlib's {1000} limit). This is the program's only matching
+// engine: a declined sequence is an invalid pattern, and the stdlib
+// engine serves only as the test oracle. Scratch state (span arrays
+// and the visited bitset) lives in a caller-held Result that is reused
+// across calls, so a steady-state match allocates nothing.
 package rexmatch
 
 import (
@@ -129,8 +130,7 @@ type Prog struct {
 }
 
 // Compile translates a spec sequence into a program, or reports why the
-// sequence is outside the dialect (the caller's cue to fall back to the
-// stdlib engine).
+// sequence is outside the dialect.
 func Compile(specs []Spec) (*Prog, error) {
 	p := &Prog{specs: make([]cspec, 0, len(specs))}
 	for i, s := range specs {
